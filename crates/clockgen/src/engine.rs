@@ -112,56 +112,46 @@ impl SamplingEngine {
     /// non-decreasing time order; a request that arrives while the
     /// previous handshake is still pending is detected at the next
     /// available tick (AER serialisation).
+    ///
+    /// The interval's clock activity is added straight into the running
+    /// report, so no per-event record is allocated.
     pub fn process(&mut self, request: SimTime) -> QuantizedEvent {
         let delta = request.saturating_duration_since(self.last_detection);
-        let (event, busy_until) = match self.table.quantize(delta) {
+        let usage = &mut self.report.usage;
+        let event = match self.table.quantize(delta) {
             QuantizeOutcome::Sampled { detection_offset, ticks } => {
-                let detection = self.last_detection + detection_offset;
+                self.table.accumulate_usage(detection_offset, usage);
                 let clamped = ticks.min(self.counter_max);
-                let event = QuantizedEvent {
+                QuantizedEvent {
                     request,
-                    detection,
+                    detection: self.last_detection + detection_offset,
                     timestamp_ticks: clamped,
                     saturated: clamped != ticks,
                     woke_clock: false,
-                };
-                (event, detection_offset)
+                }
             }
             QuantizeOutcome::Asleep { frozen_ticks, off_since } => {
-                // Clock off: REQ restarts the oscillator; first usable
-                // tick lands one base period after the wake latency.
-                let detection = request + self.wake_latency + self.base_period;
-                let clamped = frozen_ticks.min(self.counter_max);
-                let event = QuantizedEvent {
-                    request,
-                    detection,
-                    timestamp_ticks: clamped,
-                    saturated: true,
-                    woke_clock: true,
-                };
-                self.report.wake_count += 1;
                 // Active time: segments up to shutdown, then off until
                 // the request, then the wake interval at full speed.
-                let mut usage = self.table.usage_until(off_since);
+                self.table.accumulate_usage(off_since, usage);
                 usage.off += delta - off_since;
                 usage.add_active(1, self.wake_latency + self.base_period);
-                self.account(event, usage);
-                self.last_detection = detection;
-                return event;
+                self.report.wake_count += 1;
+                // Clock off: REQ restarts the oscillator; first usable
+                // tick lands one base period after the wake latency.
+                QuantizedEvent {
+                    request,
+                    detection: request + self.wake_latency + self.base_period,
+                    timestamp_ticks: frozen_ticks.min(self.counter_max),
+                    saturated: true,
+                    woke_clock: true,
+                }
             }
         };
-        let usage = self.table.usage_until(busy_until);
-        self.account(event, usage);
+        self.report.event_count += 1;
+        self.report.saturated_count += u64::from(event.saturated);
         self.last_detection = event.detection;
         event
-    }
-
-    fn account(&mut self, event: QuantizedEvent, usage: IntervalUsage) {
-        self.report.usage.merge(&usage);
-        self.report.event_count += 1;
-        if event.saturated {
-            self.report.saturated_count += 1;
-        }
     }
 
     /// Accounts for the trailing quiet interval up to `horizon` (no
@@ -172,8 +162,7 @@ impl SamplingEngine {
     pub fn finish(&mut self, horizon: SimTime) -> &ActivityReport {
         let tail = horizon.saturating_duration_since(self.last_detection);
         if !tail.is_zero() {
-            let usage = self.table.usage_until(tail);
-            self.report.usage.merge(&usage);
+            self.table.accumulate_usage(tail, &mut self.report.usage);
             self.last_detection = horizon;
         }
         &self.report

@@ -27,6 +27,8 @@ pub struct Segment {
     pub ticks: u64,
     /// Offset of the segment start from the last event's detection.
     pub start: SimDuration,
+    /// The same offset as a counter value, in `T_min` units.
+    pub start_ticks: u64,
     /// Offset of the segment's last tick (== start of the next).
     pub end: SimDuration,
 }
@@ -117,10 +119,18 @@ impl SegmentTable {
         };
         let mut segments = Vec::with_capacity(finite.len());
         let mut offset = SimDuration::ZERO;
+        let mut start_ticks = 0;
         for &m in finite {
             let len = base.saturating_mul(m).saturating_mul(theta);
-            let seg = Segment { multiplier: m, ticks: theta, start: offset, end: offset + len };
+            let seg = Segment {
+                multiplier: m,
+                ticks: theta,
+                start: offset,
+                start_ticks,
+                end: offset + len,
+            };
             offset = seg.end;
+            start_ticks += m * theta;
             segments.push(seg);
         }
         SegmentTable { base, segments, tail }
@@ -164,14 +174,26 @@ impl SegmentTable {
 
     /// Quantizes the interval from the last event's detection (counter
     /// reset) to the next request.
+    ///
+    /// Inside a finite segment this costs one division: the detecting
+    /// tick index `j` within the segment, from which both the offset and
+    /// the counter value follow by multiply-add.
     pub fn quantize(&self, delta: SimDuration) -> QuantizeOutcome {
-        for seg in &self.segments {
-            if delta <= seg.end {
-                return QuantizeOutcome::Sampled {
-                    detection_offset: self.detect_in(seg, delta),
-                    ticks: self.detect_in(seg, delta) / self.base,
-                };
-            }
+        // Segments tile `[0, shutdown]`, so the first one whose end is at
+        // or after `delta` also starts at or before it.
+        if let Some(seg) = self.segments.iter().find(|seg| delta <= seg.end) {
+            let step = self.base.saturating_mul(seg.multiplier);
+            // A request exactly on a segment boundary (`j = 0`) belongs
+            // to the boundary tick itself, the previous segment's last;
+            // only at the reset instant is the first tick a period away.
+            let j = match (delta - seg.start).as_ps().div_ceil(step.as_ps()) {
+                0 if seg.start.is_zero() => 1,
+                j => j,
+            };
+            return QuantizeOutcome::Sampled {
+                detection_offset: seg.start + step.saturating_mul(j),
+                ticks: seg.start_ticks + seg.multiplier * j,
+            };
         }
         match self.tail {
             Tail::Shutdown => {
@@ -189,31 +211,24 @@ impl SegmentTable {
         }
     }
 
-    /// First tick offset ≥ `delta` inside `seg` (callers guarantee
-    /// `delta <= seg.end`).
-    fn detect_in(&self, seg: &Segment, delta: SimDuration) -> SimDuration {
-        let step = self.base.saturating_mul(seg.multiplier);
-        let rel = delta.saturating_duration_since_zero(seg.start);
-        if rel.is_zero() && !seg.start.is_zero() {
-            // Exactly on the segment boundary: the boundary tick (the
-            // previous segment's last) detects it.
-            return seg.start;
-        }
-        let j = div_ceil_duration(rel, step).max(1);
-        seg.start + step.saturating_mul(j)
-    }
-
     /// Splits the busy interval `[0, until]` after a reset into
     /// per-multiplier active time plus off time — the input to the
     /// power model.
     pub fn usage_until(&self, until: SimDuration) -> IntervalUsage {
         let mut usage = IntervalUsage::default();
+        self.accumulate_usage(until, &mut usage);
+        usage
+    }
+
+    /// Adds the usage of the busy interval `[0, until]` to `usage` in
+    /// place — what [`usage_until`](Self::usage_until) returns, merged
+    /// without building a record of its own.
+    pub fn accumulate_usage(&self, until: SimDuration, usage: &mut IntervalUsage) {
         for seg in &self.segments {
             if until <= seg.start {
-                return usage;
+                return;
             }
-            let span = until.min(seg.end) - seg.start;
-            usage.add_active(seg.multiplier, span);
+            usage.add_active(seg.multiplier, until.min(seg.end) - seg.start);
         }
         let tail_start = self.segments.last().map_or(SimDuration::ZERO, |s| s.end);
         if until > tail_start {
@@ -222,7 +237,6 @@ impl SegmentTable {
                 Tail::Infinite { multiplier } => usage.add_active(multiplier, until - tail_start),
             }
         }
-        usage
     }
 }
 
@@ -268,22 +282,6 @@ fn div_ceil_duration(a: SimDuration, b: SimDuration) -> u64 {
         q + 1
     } else {
         q
-    }
-}
-
-/// Helper: saturating `a - b` clamped at zero, mirroring
-/// `SimTime::saturating_duration_since` for durations.
-trait SaturatingSinceZero {
-    fn saturating_duration_since_zero(self, earlier: SimDuration) -> SimDuration;
-}
-
-impl SaturatingSinceZero for SimDuration {
-    fn saturating_duration_since_zero(self, earlier: SimDuration) -> SimDuration {
-        if self >= earlier {
-            self - earlier
-        } else {
-            SimDuration::ZERO
-        }
     }
 }
 

@@ -203,31 +203,52 @@ impl Cochlea {
         l.merge(&r)
     }
 
+    /// One pass per channel: each sample goes through the channel's
+    /// band-pass filter and straight into all of its ganglion cells, so
+    /// the filter and cell recurrences advance side by side instead of
+    /// materialising the band signal first.
     fn process_ear(&mut self, audio: &AudioBuffer, ear: Ear) -> SpikeTrain {
-        let outputs = self.bank.process(audio);
+        assert_eq!(audio.sample_rate(), self.bank.sample_rate(), "sample-rate mismatch");
         let dt_secs = 1.0 / self.config.sample_rate as f64;
         let dt_ps = (dt_secs * 1e12).round() as u64;
+        // Staggered thresholds, like the DAS1's four ganglion cells per
+        // channel: higher-index cells need stronger drive and fire later
+        // within a cycle.
+        let cells: Vec<NeuronConfig> = (0..self.config.neurons_per_channel)
+            .map(|j| NeuronConfig {
+                threshold: self.config.neuron.threshold * (1.0 + 0.25 * j as f64),
+                ..self.config.neuron
+            })
+            .collect();
+        let mut fired: Vec<Vec<Spike>> = vec![Vec::new(); cells.len()];
         let mut spikes = Vec::new();
-        for (ch, band) in outputs.iter().enumerate() {
-            for j in 0..self.config.neurons_per_channel {
-                // Staggered thresholds, like the DAS1's four ganglion
-                // cells per channel: higher-index cells need stronger
-                // drive and fire later within a cycle.
-                let config = NeuronConfig {
-                    threshold: self.config.neuron.threshold * (1.0 + 0.25 * j as f64),
-                    ..self.config.neuron
-                };
-                let mut neuron = IntegrateFireNeuron::new(config);
-                let addr = self.address_of(ear, ch, j);
-                for (i, &x) in band.iter().enumerate() {
-                    let t = SimTime::from_ps(i as u64 * dt_ps);
-                    if let Some(frac) = neuron.step_interpolated(t, x, dt_secs) {
+        for (ch, filter) in self.bank.filters().iter().enumerate() {
+            let mut filter = *filter;
+            filter.reset();
+            let mut neurons: Vec<(IntegrateFireNeuron, Address)> = cells
+                .iter()
+                .enumerate()
+                .map(|(j, &config)| (IntegrateFireNeuron::new(config), self.address_of(ear, ch, j)))
+                .collect();
+            for (i, &x) in audio.samples().iter().enumerate() {
+                let band = filter.step(x);
+                let t_ps = i as u64 * dt_ps;
+                for ((neuron, addr), out) in neurons.iter_mut().zip(&mut fired) {
+                    if let Some(frac) =
+                        neuron.step_interpolated(SimTime::from_ps(t_ps), band, dt_secs)
+                    {
                         // Sub-sample interpolation keeps channels from
                         // snapping to the audio grid.
                         let offset = (frac * dt_ps as f64).round() as u64;
-                        spikes.push(Spike::new(SimTime::from_ps(i as u64 * dt_ps + offset), addr));
+                        out.push(Spike::new(SimTime::from_ps(t_ps + offset), *addr));
                     }
                 }
+            }
+            // Appending cell by cell keeps the (channel, cell, time)
+            // insertion order, which the stable sort below relies on to
+            // order simultaneous spikes.
+            for out in &mut fired {
+                spikes.append(out);
             }
         }
         SpikeTrain::from_unsorted(spikes)
@@ -335,6 +356,64 @@ mod tests {
         assert!(CochleaConfig { channels: 512, neurons_per_channel: 1, ..CochleaConfig::das1() }
             .validate()
             .is_ok());
+    }
+
+    /// The two-pass model the single-pass `process_ear` replaced: the
+    /// whole band signal first, then one LIF pass per ganglion cell.
+    fn two_pass_reference(cochlea: &Cochlea, audio: &AudioBuffer, ear: Ear) -> SpikeTrain {
+        let config = cochlea.config;
+        let outputs = cochlea.bank.clone().process(audio);
+        let dt_secs = 1.0 / config.sample_rate as f64;
+        let dt_ps = (dt_secs * 1e12).round() as u64;
+        let mut spikes = Vec::new();
+        for (ch, band) in outputs.iter().enumerate() {
+            for j in 0..config.neurons_per_channel {
+                let mut neuron = IntegrateFireNeuron::new(NeuronConfig {
+                    threshold: config.neuron.threshold * (1.0 + 0.25 * j as f64),
+                    ..config.neuron
+                });
+                let addr = cochlea.address_of(ear, ch, j);
+                for (i, &x) in band.iter().enumerate() {
+                    let t = SimTime::from_ps(i as u64 * dt_ps);
+                    if let Some(frac) = neuron.step_interpolated(t, x, dt_secs) {
+                        let offset = (frac * dt_ps as f64).round() as u64;
+                        spikes.push(Spike::new(SimTime::from_ps(i as u64 * dt_ps + offset), addr));
+                    }
+                }
+            }
+        }
+        SpikeTrain::from_unsorted(spikes)
+    }
+
+    #[test]
+    fn single_pass_matches_two_pass_reference_on_the_fig7_word() {
+        let mut c = das1();
+        for seed in [1, 0xF17, 424_242] {
+            let word = fig7_word(16_000, seed);
+            let reference = two_pass_reference(&c, &word, Ear::Left);
+            assert!(reference.len() > 1_000, "seed {seed}: {} spikes", reference.len());
+            assert_eq!(c.process(&word), reference, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn single_pass_matches_two_pass_reference_on_a_tone() {
+        let mut c = das1();
+        let tone = AudioBuffer::tone(16_000, 1_000.0, 0.8, 0.3);
+        assert_eq!(c.process(&tone), two_pass_reference(&c, &tone, Ear::Left));
+    }
+
+    #[test]
+    fn single_pass_matches_two_pass_reference_binaurally() {
+        let mut c = das1();
+        let left = fig7_word(16_000, 3);
+        let right = AudioBuffer::tone(16_000, 700.0, 0.6, 0.5);
+        let reference = two_pass_reference(&c, &left, Ear::Left).merge(&two_pass_reference(
+            &c,
+            &right,
+            Ear::Right,
+        ));
+        assert_eq!(c.process_binaural(&left, &right), reference);
     }
 
     #[test]
