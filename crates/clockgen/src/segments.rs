@@ -183,13 +183,10 @@ impl SegmentTable {
         // or after `delta` also starts at or before it.
         if let Some(seg) = self.segments.iter().find(|seg| delta <= seg.end) {
             let step = self.base.saturating_mul(seg.multiplier);
-            // A request exactly on a segment boundary (`j = 0`) belongs
-            // to the boundary tick itself, the previous segment's last;
-            // only at the reset instant is the first tick a period away.
-            let j = match (delta - seg.start).as_ps().div_ceil(step.as_ps()) {
-                0 if seg.start.is_zero() => 1,
-                j => j,
-            };
+            // `j = 0` only at the reset instant (a request on a later
+            // boundary belongs to the earlier segment's last tick): the
+            // first tick is then one period away.
+            let j = (delta - seg.start).as_ps().div_ceil(step.as_ps()).max(1);
             return QuantizeOutcome::Sampled {
                 detection_offset: seg.start + step.saturating_mul(j),
                 ticks: seg.start_ticks + seg.multiplier * j,

@@ -404,6 +404,23 @@ mod tests {
     }
 
     #[test]
+    fn single_pass_keeps_the_order_of_simultaneous_spikes() {
+        // Huge clicks push every cell over threshold within a few ps of
+        // the sample instant, so many spikes share a timestamp and only
+        // the (channel, cell) insertion order separates them.
+        let mut clicks = vec![0.0; 8_000];
+        for i in (0..clicks.len()).step_by(320) {
+            clicks[i] = 1e9;
+        }
+        let audio = AudioBuffer::new(16_000, clicks);
+        let mut c = das1();
+        let reference = two_pass_reference(&c, &audio, Ear::Left);
+        let ties = reference.as_slice().windows(2).filter(|w| w[0].time == w[1].time).count();
+        assert!(ties > 100, "only {ties} simultaneous spikes");
+        assert_eq!(c.process(&audio), reference);
+    }
+
+    #[test]
     fn single_pass_matches_two_pass_reference_binaurally() {
         let mut c = das1();
         let left = fig7_word(16_000, 3);
