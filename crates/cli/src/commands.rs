@@ -141,6 +141,36 @@ fn jobs_arg(args: &ParsedArgs) -> Result<usize, Box<dyn Error>> {
     Ok(if jobs == 0 { aetr_sim::parallel::available_jobs() } else { jobs })
 }
 
+/// `--rate`, required when `default` is `None`: the stimulus
+/// generators need a finite, positive event rate.
+fn rate_arg(args: &ParsedArgs, default: Option<f64>) -> Result<f64, Box<dyn Error>> {
+    let rate: f64 = match default {
+        Some(rate) => args.get_or("rate", rate, "number")?,
+        None => args.require("rate", "number")?,
+    };
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(invalid(args, "rate", "positive, finite event rate (evt/s)"))
+    }
+}
+
+/// `--duration-ms`: the simulated horizon, at least 1 ms.
+fn duration_ms_arg(args: &ParsedArgs, default: u64) -> Result<u64, Box<dyn Error>> {
+    let duration_ms: u64 = args.get_or("duration-ms", default, "integer")?;
+    if duration_ms > 0 {
+        Ok(duration_ms)
+    } else {
+        Err(invalid(args, "duration-ms", "positive duration (ms)"))
+    }
+}
+
+/// The error for a flag that parsed but is out of range.
+fn invalid(args: &ParsedArgs, flag: &str, expected: &'static str) -> Box<dyn Error> {
+    let value = args.get_str(flag).unwrap_or_default().to_owned();
+    Box::new(ArgsError::InvalidValue { flag: flag.into(), value, expected })
+}
+
 fn report_for(config: &ClockGenConfig, train: &SpikeTrain, horizon: SimTime) -> String {
     let out = quantize_train(config, train, horizon);
     let samples = isi_error_samples(&out);
@@ -174,8 +204,8 @@ fn report_for(config: &ClockGenConfig, train: &SpikeTrain, horizon: SimTime) -> 
 }
 
 fn cmd_quantize(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    let rate: f64 = args.require("rate", "number")?;
-    let duration_ms: u64 = args.get_or("duration-ms", 100, "integer")?;
+    let rate = rate_arg(args, None)?;
+    let duration_ms = duration_ms_arg(args, 100)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let config = clock_config(args)?;
     let horizon = SimTime::from_ms(duration_ms);
@@ -203,8 +233,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::interface::{AerToI2sInterface, InterfaceConfig};
     use aetr::latency::LatencyReport;
 
-    let rate: f64 = args.require("rate", "number")?;
-    let duration_ms: u64 = args.get_or("duration-ms", 20, "integer")?;
+    let rate = rate_arg(args, None)?;
+    let duration_ms = duration_ms_arg(args, 20)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let clock = clock_config(args)?;
     let config = InterfaceConfig { clock, ..InterfaceConfig::prototype() };
@@ -236,20 +266,20 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 
 fn cmd_record(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let path = args.positional.first().ok_or("record needs an output .aedat file argument")?;
-    let duration_ms: u64 = args.get_or("duration-ms", 100, "integer")?;
+    let duration_ms = duration_ms_arg(args, 100)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let horizon = SimTime::from_ms(duration_ms);
     let generator = args.get_str("generator").unwrap_or("poisson");
     let (train, label) = match generator {
         "poisson" => {
-            let rate: f64 = args.require("rate", "number")?;
+            let rate = rate_arg(args, None)?;
             (
                 PoissonGenerator::new(rate, 64, seed).generate(horizon),
                 format!("poisson {rate} evt/s"),
             )
         }
         "lfsr" => {
-            let rate: f64 = args.require("rate", "number")?;
+            let rate = rate_arg(args, None)?;
             (LfsrGenerator::new(rate, seed as u32).generate(horizon), format!("lfsr {rate} evt/s"))
         }
         "word" => {
@@ -328,8 +358,8 @@ fn cmd_faults(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::interface::InterfaceConfig;
 
     let points: usize = args.get_or("points", 7, "integer")?;
-    let rate: f64 = args.get_or("rate", 50_000.0, "number")?;
-    let duration_ms: u64 = args.get_or("duration-ms", 10, "integer")?;
+    let rate = rate_arg(args, Some(50_000.0))?;
+    let duration_ms = duration_ms_arg(args, 10)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let lo: f64 = args.get_or("min-fault-rate", 1e-4, "number")?;
     let hi: f64 = args.get_or("max-fault-rate", 0.3, "number")?;
@@ -413,8 +443,8 @@ fn instrumented_run(args: &ParsedArgs) -> Result<InstrumentedRun, Box<dyn Error>
     use aetr::interface::InterfaceConfig;
     use aetr_aer::generator::BurstGenerator;
 
-    let rate: f64 = args.get_or("rate", 50_000.0, "number")?;
-    let duration_ms: u64 = args.get_or("duration-ms", 10, "integer")?;
+    let rate = rate_arg(args, Some(50_000.0))?;
+    let duration_ms = duration_ms_arg(args, 10)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let cadence_us: u64 = args.get_or("cadence-us", 100, "integer")?;
     if cadence_us == 0 {
@@ -806,6 +836,63 @@ mod tests {
         .unwrap();
         assert!(text.contains("policy=no-division"), "{text}");
         assert!(text.contains("(lfsr)"), "{text}");
+    }
+
+    /// A bad `--rate` or `--duration-ms` is a one-line error naming the
+    /// flag, not a panic.
+    fn assert_rejected(line: &[&str], flag: &str) {
+        let err = run_line(line).expect_err("bad flag accepted").to_string();
+        assert!(err.starts_with(&format!("--{flag} ")), "{line:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{line:?}: {err}");
+    }
+
+    /// Non-positive and non-finite rates and a zero duration, after
+    /// `prefix` (the command and any positional argument it needs).
+    fn assert_rejects_bad_rate_and_duration(prefix: &[&str]) {
+        for rate in ["0", "-5", "NaN", "inf"] {
+            assert_rejected(&[prefix, &["--rate", rate]].concat(), "rate");
+        }
+        let zero_duration = [prefix, &["--rate", "1000", "--duration-ms", "0"]].concat();
+        assert_rejected(&zero_duration, "duration-ms");
+    }
+
+    #[test]
+    fn quantize_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["quantize"]);
+    }
+
+    #[test]
+    fn run_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["run"]);
+    }
+
+    #[test]
+    fn record_rejects_bad_rate_and_duration() {
+        let path = std::env::temp_dir().join("aetr_cli_rejected.aedat");
+        let path = path.to_str().unwrap();
+        assert_rejects_bad_rate_and_duration(&["record", path, "--generator", "lfsr"]);
+        assert_rejected(&["record", path, "--rate", "0"], "rate");
+        assert!(!std::path::Path::new(path).exists(), "nothing is written on error");
+    }
+
+    #[test]
+    fn faults_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["faults"]);
+    }
+
+    #[test]
+    fn telemetry_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["telemetry"]);
+    }
+
+    #[test]
+    fn lineage_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["lineage"]);
+    }
+
+    #[test]
+    fn explain_rejects_bad_rate_and_duration() {
+        assert_rejects_bad_rate_and_duration(&["explain", "0"]);
     }
 
     #[test]
