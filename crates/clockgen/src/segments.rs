@@ -200,8 +200,7 @@ impl SegmentTable {
             Tail::Infinite { multiplier } => {
                 let start = self.segments.last().map_or(SimDuration::ZERO, |s| s.end);
                 let step = self.base.saturating_mul(multiplier);
-                let rel = delta - start;
-                let j = div_ceil_duration(rel, step).max(1);
+                let j = (delta - start).as_ps().div_ceil(step.as_ps()).max(1);
                 let offset = start + step.saturating_mul(j);
                 QuantizeOutcome::Sampled { detection_offset: offset, ticks: offset / self.base }
             }
@@ -269,16 +268,6 @@ impl IntervalUsage {
     /// Total accounted time (active + off).
     pub fn total(&self) -> SimDuration {
         self.active.iter().map(|&(_, d)| d).sum::<SimDuration>() + self.off
-    }
-}
-
-/// `ceil(a / b)` for durations.
-fn div_ceil_duration(a: SimDuration, b: SimDuration) -> u64 {
-    let q = a / b;
-    if (b.saturating_mul(q)) < a {
-        q + 1
-    } else {
-        q
     }
 }
 
@@ -416,7 +405,7 @@ mod tests {
         match t.quantize(big) {
             QuantizeOutcome::Sampled { ticks, .. } => {
                 // 1 s / 66.56 us... base is ~66.66 us? base ~66,656 ps
-                let expected = div_ceil_duration(big, t.base_period());
+                let expected = big.as_ps().div_ceil(t.base_period().as_ps());
                 assert_eq!(ticks, expected);
             }
             other => panic!("unexpected {other:?}"),

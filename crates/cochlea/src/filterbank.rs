@@ -122,11 +122,6 @@ impl FilterBank {
         FilterBank { sample_rate, centers, filters }
     }
 
-    /// The sample rate the bank was designed for.
-    pub fn sample_rate(&self) -> u32 {
-        self.sample_rate
-    }
-
     /// The channel filters, lowest centre frequency first, in whatever
     /// state the last [`process`](Self::process) call left them.
     pub fn filters(&self) -> &[Biquad] {

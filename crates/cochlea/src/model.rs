@@ -207,8 +207,8 @@ impl Cochlea {
     /// band-pass filter and straight into all of its ganglion cells, so
     /// the filter and cell recurrences advance side by side instead of
     /// materialising the band signal first.
-    fn process_ear(&mut self, audio: &AudioBuffer, ear: Ear) -> SpikeTrain {
-        assert_eq!(audio.sample_rate(), self.bank.sample_rate(), "sample-rate mismatch");
+    fn process_ear(&self, audio: &AudioBuffer, ear: Ear) -> SpikeTrain {
+        assert_eq!(audio.sample_rate(), self.config.sample_rate, "sample-rate mismatch");
         let dt_secs = 1.0 / self.config.sample_rate as f64;
         let dt_ps = (dt_secs * 1e12).round() as u64;
         // Staggered thresholds, like the DAS1's four ganglion cells per
