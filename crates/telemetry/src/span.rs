@@ -80,7 +80,8 @@ impl Span {
     }
 }
 
-/// Handle to a span that has been opened but not yet closed.
+/// Handle to a span that has been opened but not yet closed: the
+/// span's sequence number among all spans the log has opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenSpan(usize);
 
@@ -88,7 +89,12 @@ pub struct OpenSpan(usize);
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SpanLog {
     spans: Vec<Span>,
-    open: Vec<Span>,
+    /// Spans still open, with their handle numbers. A closed span
+    /// leaves this list, so it holds only the few spans in flight
+    /// however long the run.
+    open: Vec<(usize, Span)>,
+    /// Spans opened so far: the next handle's number.
+    opened: usize,
 }
 
 impl SpanLog {
@@ -99,8 +105,10 @@ impl SpanLog {
 
     /// Opens a span at `start`; close it with [`SpanLog::close`].
     pub fn open(&mut self, kind: SpanKind, name: &'static str, start: SimTime) -> OpenSpan {
-        self.open.push(Span { kind, name, start, end: start, arg: None });
-        OpenSpan(self.open.len() - 1)
+        let handle = OpenSpan(self.opened);
+        self.opened += 1;
+        self.open.push((handle.0, Span { kind, name, start, end: start, arg: None }));
+        handle
     }
 
     /// Closes an open span at `end`, moving it into the log.
@@ -116,13 +124,11 @@ impl SpanLog {
 
     /// Closes an open span, attaching a numeric argument.
     pub fn close_with(&mut self, handle: OpenSpan, end: SimTime, arg: Option<u64>) {
-        let span = &mut self.open[handle.0];
-        assert!(span.start <= end, "span cannot end before it starts");
-        assert!(span.name != CLOSED, "span handle closed twice");
-        let mut done = span.clone();
+        let slot = self.open.iter().position(|&(n, _)| n == handle.0);
+        let (_, mut done) = self.open.remove(slot.expect("span handle closed twice"));
+        assert!(done.start <= end, "span cannot end before it starts");
         done.end = end;
         done.arg = arg.or(done.arg);
-        span.name = CLOSED;
         self.spans.push(done);
     }
 
@@ -256,9 +262,6 @@ impl SpanLog {
     }
 }
 
-/// Sentinel name marking a consumed open-span slot.
-const CLOSED: &str = "\u{0}closed";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +288,30 @@ mod tests {
         log.close(a, t(20));
         assert_eq!(log.len(), 2);
         assert_eq!(log.spans()[0].kind, SpanKind::Handshake);
+    }
+
+    #[test]
+    fn closed_spans_leave_the_open_list() {
+        let mut log = SpanLog::new();
+        let wake = log.open(SpanKind::Wake, "wake", t(0));
+        for i in 0..1_000 {
+            let h = log.open(SpanKind::Handshake, "4-phase", t(i));
+            log.close(h, t(i + 1));
+        }
+        assert_eq!(log.open.len(), 1);
+        log.close(wake, t(2_000));
+        assert!(log.open.is_empty());
+        assert_eq!(log.len(), 1_001);
+    }
+
+    #[test]
+    #[should_panic(expected = "closed twice")]
+    fn stale_handle_panics_after_later_spans_open() {
+        let mut log = SpanLog::new();
+        let h = log.open(SpanKind::Wake, "wake", t(0));
+        log.close(h, t(1));
+        log.open(SpanKind::Wake, "wake", t(2));
+        log.close(h, t(3));
     }
 
     #[test]
