@@ -41,6 +41,22 @@ fn bench_event_queue(c: &mut Criterion) {
             n
         });
     });
+    // The interface runner's steady state: a tick, a request and a
+    // frame pending, each popped and rescheduled at its own period.
+    group.bench_function("reschedule_depth3", |b| {
+        const PERIOD_NS: [u64; 3] = [66, 1_818, 2_133];
+        let mut q = EventQueue::with_capacity(16);
+        for (kind, ns) in PERIOD_NS.iter().enumerate() {
+            q.schedule_at(SimTime::from_ns(*ns), kind).expect("fresh queue");
+        }
+        b.iter(|| {
+            for _ in 0..10_000 {
+                let (t, kind) = q.pop().expect("three events stay pending");
+                q.schedule_at(t + SimDuration::from_ns(PERIOD_NS[kind]), kind).expect("monotone");
+            }
+            q.now()
+        });
+    });
     group.finish();
 }
 

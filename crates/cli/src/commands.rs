@@ -165,6 +165,33 @@ fn duration_ms_arg(args: &ParsedArgs, default: u64) -> Result<u64, Box<dyn Error
     }
 }
 
+/// Largest stimulus a command builds, in expected events (rate ×
+/// duration): above it the spike train alone would take gigabytes and
+/// minutes, so the run is refused up front.
+const MAX_EXPECTED_EVENTS: f64 = 1e7;
+
+/// `--rate` and `--duration-ms` (see [`rate_arg`] and
+/// [`duration_ms_arg`]), whose product must stay within
+/// [`MAX_EXPECTED_EVENTS`].
+fn rate_and_duration_args(
+    args: &ParsedArgs,
+    default_rate: Option<f64>,
+    default_duration_ms: u64,
+) -> Result<(f64, u64), Box<dyn Error>> {
+    let rate = rate_arg(args, default_rate)?;
+    let duration_ms = duration_ms_arg(args, default_duration_ms)?;
+    let expected = rate * duration_ms as f64 / 1e3;
+    if expected > MAX_EXPECTED_EVENTS {
+        return Err(format!(
+            "--rate {} over --duration-ms {duration_ms} expects {expected:.1e} events, \
+             more than the {MAX_EXPECTED_EVENTS:.0e} a run may build",
+            fmt_sig(rate)
+        )
+        .into());
+    }
+    Ok((rate, duration_ms))
+}
+
 /// The error for a flag that parsed but is out of range.
 fn invalid(args: &ParsedArgs, flag: &str, expected: &'static str) -> Box<dyn Error> {
     let value = args.get_str(flag).unwrap_or_default().to_owned();
@@ -204,8 +231,7 @@ fn report_for(config: &ClockGenConfig, train: &SpikeTrain, horizon: SimTime) -> 
 }
 
 fn cmd_quantize(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    let rate = rate_arg(args, None)?;
-    let duration_ms = duration_ms_arg(args, 100)?;
+    let (rate, duration_ms) = rate_and_duration_args(args, None, 100)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let config = clock_config(args)?;
     let horizon = SimTime::from_ms(duration_ms);
@@ -233,8 +259,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::interface::{AerToI2sInterface, InterfaceConfig};
     use aetr::latency::LatencyReport;
 
-    let rate = rate_arg(args, None)?;
-    let duration_ms = duration_ms_arg(args, 20)?;
+    let (rate, duration_ms) = rate_and_duration_args(args, None, 20)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let clock = clock_config(args)?;
     let config = InterfaceConfig { clock, ..InterfaceConfig::prototype() };
@@ -271,16 +296,14 @@ fn cmd_record(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let horizon = SimTime::from_ms(duration_ms);
     let generator = args.get_str("generator").unwrap_or("poisson");
     let (train, label) = match generator {
-        "poisson" => {
-            let rate = rate_arg(args, None)?;
-            (
-                PoissonGenerator::new(rate, 64, seed).generate(horizon),
-                format!("poisson {rate} evt/s"),
-            )
-        }
-        "lfsr" => {
-            let rate = rate_arg(args, None)?;
-            (LfsrGenerator::new(rate, seed as u32).generate(horizon), format!("lfsr {rate} evt/s"))
+        "poisson" | "lfsr" => {
+            let (rate, _) = rate_and_duration_args(args, None, 100)?;
+            let train = if generator == "poisson" {
+                PoissonGenerator::new(rate, 64, seed).generate(horizon)
+            } else {
+                LfsrGenerator::new(rate, seed as u32).generate(horizon)
+            };
+            (train, format!("{generator} {rate} evt/s"))
         }
         "word" => {
             use aetr_cochlea::model::{Cochlea, CochleaConfig};
@@ -358,8 +381,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::interface::InterfaceConfig;
 
     let points: usize = args.get_or("points", 7, "integer")?;
-    let rate = rate_arg(args, Some(50_000.0))?;
-    let duration_ms = duration_ms_arg(args, 10)?;
+    let (rate, duration_ms) = rate_and_duration_args(args, Some(50_000.0), 10)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let lo: f64 = args.get_or("min-fault-rate", 1e-4, "number")?;
     let hi: f64 = args.get_or("max-fault-rate", 0.3, "number")?;
@@ -443,8 +465,7 @@ fn instrumented_run(args: &ParsedArgs) -> Result<InstrumentedRun, Box<dyn Error>
     use aetr::interface::InterfaceConfig;
     use aetr_aer::generator::BurstGenerator;
 
-    let rate = rate_arg(args, Some(50_000.0))?;
-    let duration_ms = duration_ms_arg(args, 10)?;
+    let (rate, duration_ms) = rate_and_duration_args(args, Some(50_000.0), 10)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let cadence_us: u64 = args.get_or("cadence-us", 100, "integer")?;
     if cadence_us == 0 {
@@ -856,14 +877,33 @@ mod tests {
         assert_rejected(&zero_duration, "duration-ms");
     }
 
+    /// A rate × duration over the spike budget is a one-line error
+    /// naming both flags, raised before any stimulus is built.
+    fn assert_rejects_over_budget(prefix: &[&str]) {
+        let line = [prefix, &["--rate", "1e12", "--duration-ms", "1"]].concat();
+        let err = run_line(&line).expect_err("over-budget stimulus accepted").to_string();
+        assert!(err.starts_with("--rate 1.000e12 over --duration-ms 1 "), "{line:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{line:?}: {err}");
+    }
+
     #[test]
     fn quantize_rejects_bad_rate_and_duration() {
         assert_rejects_bad_rate_and_duration(&["quantize"]);
     }
 
     #[test]
+    fn quantize_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["quantize"]);
+    }
+
+    #[test]
     fn run_rejects_bad_rate_and_duration() {
         assert_rejects_bad_rate_and_duration(&["run"]);
+    }
+
+    #[test]
+    fn run_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["run"]);
     }
 
     #[test]
@@ -876,8 +916,22 @@ mod tests {
     }
 
     #[test]
+    fn record_rejects_an_over_budget_stimulus() {
+        let path = std::env::temp_dir().join("aetr_cli_over_budget.aedat");
+        let path = path.to_str().unwrap();
+        assert_rejects_over_budget(&["record", path]);
+        assert_rejects_over_budget(&["record", path, "--generator", "lfsr"]);
+        assert!(!std::path::Path::new(path).exists(), "nothing is written on error");
+    }
+
+    #[test]
     fn faults_rejects_bad_rate_and_duration() {
         assert_rejects_bad_rate_and_duration(&["faults"]);
+    }
+
+    #[test]
+    fn faults_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["faults"]);
     }
 
     #[test]
@@ -886,13 +940,28 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["telemetry"]);
+    }
+
+    #[test]
     fn lineage_rejects_bad_rate_and_duration() {
         assert_rejects_bad_rate_and_duration(&["lineage"]);
     }
 
     #[test]
+    fn lineage_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["lineage"]);
+    }
+
+    #[test]
     fn explain_rejects_bad_rate_and_duration() {
         assert_rejects_bad_rate_and_duration(&["explain", "0"]);
+    }
+
+    #[test]
+    fn explain_rejects_an_over_budget_stimulus() {
+        assert_rejects_over_budget(&["explain", "0"]);
     }
 
     #[test]

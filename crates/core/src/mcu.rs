@@ -84,7 +84,7 @@ impl McuReceiver {
     /// The result is clamped monotone (an anchor can never move time
     /// backwards past already-placed events).
     pub fn receive_anchored(&self, stream: &I2sStream) -> SpikeTrain {
-        let mut spikes = Vec::new();
+        let mut spikes = Vec::with_capacity(stream.event_count());
         let mut t = SimTime::ZERO;
         for frame in stream.frames() {
             for event in frame.events() {
@@ -133,18 +133,21 @@ impl FidelityReport {
     /// [`IsiErrorSample::relative_error`]:
     ///     crate::quantizer::IsiErrorSample::relative_error
     pub fn compare(original: &SpikeTrain, reconstructed: &SpikeTrain) -> FidelityReport {
-        let mut errors = Vec::new();
+        // One pass and no buffer. Summing left to right keeps the mean
+        // bit-identical to summing the collected errors.
+        let (mut sum, mut max, mut n) = (0.0f64, 0.0f64, 0usize);
         for (t, r) in original.inter_spike_intervals().zip(reconstructed.inter_spike_intervals()) {
             let truth = t.as_secs_f64();
             let rec = r.as_secs_f64();
             let denom = truth.max(rec);
             if denom > 0.0 {
-                errors.push((rec - truth).abs() / denom);
+                let error = (rec - truth).abs() / denom;
+                sum += error;
+                max = max.max(error);
+                n += 1;
             }
         }
-        let mean =
-            if errors.is_empty() { 0.0 } else { errors.iter().sum::<f64>() / errors.len() as f64 };
-        let max = errors.iter().cloned().fold(0.0f64, f64::max);
+        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
         FidelityReport {
             sent: original.len(),
             received: reconstructed.len(),
@@ -279,6 +282,26 @@ mod tests {
         assert_eq!(report.mean_isi_error, 0.0);
         assert_eq!(report.accuracy(), 1.0);
         assert_eq!(report.loss_ratio(), 0.0);
+    }
+
+    #[test]
+    fn one_pass_fidelity_matches_a_collected_reference_bit_for_bit() {
+        let train = PoissonGenerator::new(150_000.0, 64, 21).generate(SimTime::from_ms(20));
+        let out = quantize_train(&ClockGenConfig::prototype(), &train, SimTime::from_ms(20));
+        let rebuilt = McuReceiver::new(out.base_period).receive(&send_all(&out));
+        let errors: Vec<f64> = train
+            .inter_spike_intervals()
+            .zip(rebuilt.inter_spike_intervals())
+            .map(|(t, r)| (t.as_secs_f64(), r.as_secs_f64()))
+            .filter(|&(t, r)| t.max(r) > 0.0)
+            .map(|(t, r)| (r - t).abs() / t.max(r))
+            .collect();
+        let report = FidelityReport::compare(&train, &rebuilt);
+        let mean = errors.iter().sum::<f64>() / errors.len() as f64;
+        let max = errors.iter().copied().fold(0.0, f64::max);
+        assert!(mean > 0.0, "the reconstruction is not exact");
+        assert_eq!(report.mean_isi_error.to_bits(), mean.to_bits());
+        assert_eq!(report.max_isi_error.to_bits(), max.to_bits());
     }
 
     #[test]

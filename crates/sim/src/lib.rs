@@ -1,8 +1,9 @@
 //! # aetr-sim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the AETR reproduction: integer-picosecond time
-//! ([`time`]), a deterministic event queue with stable tie-breaking and
-//! O(1) tombstone cancellation ([`queue`]), signal tracing ([`trace`]),
+//! ([`time`]), a deterministic event queue with stable tie-breaking,
+//! sized for the handful of events a DES keeps pending ([`queue`]: O(1)
+//! schedule, O(pending) pop), signal tracing ([`trace`]),
 //! VCD waveform export ([`vcd`]), and a deterministic parallel executor
 //! for independent sweep points ([`parallel`]).
 //!
@@ -54,16 +55,18 @@ pub mod trace;
 pub mod vcd;
 
 pub use parallel::{available_jobs, par_map};
-pub use queue::{EventHandle, EventQueue, SchedulePastError};
+pub use queue::{EventQueue, SchedulePastError};
 pub use stats::OnlineStats;
 pub use time::{Frequency, SimDuration, SimTime};
 pub use trace::{TraceValue, Tracer};
 
 #[cfg(test)]
 mod proptests {
+    use std::collections::BTreeMap;
+
     use proptest::prelude::*;
 
-    use crate::queue::EventQueue;
+    use crate::queue::{EventQueue, SchedulePastError};
     use crate::time::{SimDuration, SimTime};
 
     proptest! {
@@ -82,7 +85,7 @@ mod proptests {
             }
         }
 
-        /// Every scheduled (non-cancelled) event pops exactly once.
+        /// Every scheduled event pops exactly once.
         #[test]
         fn conservation_of_events(times in proptest::collection::vec(0u64..1_000, 0..100)) {
             let mut q = EventQueue::new();
@@ -94,68 +97,71 @@ mod proptests {
             prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
         }
 
-        /// The tombstone queue pops the identical `(time, seq)` order as
-        /// a naive reference model (linear scan for the minimum live
-        /// entry) under random interleavings of schedule, cancel, and
-        /// pop — and `len()`/`cancel()` return values agree at every
-        /// step, including across slot reuse.
+        /// The scan queue matches a `(time, seq)`-ordered reference model
+        /// under random interleavings of `schedule_at`, `schedule_after`
+        /// (zero delay included), `pop`, `peek_time`, `advance_to` and
+        /// past-time schedules: identical pop streams, errors, `now`,
+        /// `len` and `ops` at every step. Delays of 0–3 ps make
+        /// same-instant ties the common case.
         #[test]
-        fn tombstone_queue_matches_reference_model(
-            ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..400),
+        fn scan_queue_matches_reference_model(
+            ops in proptest::collection::vec((0u8..12, 0u64..1_000), 1..400),
         ) {
-            // Model entry: (time, seq, cancelled, popped).
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut model: Vec<(SimTime, u64, bool, bool)> = Vec::new();
-            let mut handles = Vec::new();
-            let mut model_now = SimTime::ZERO;
+            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+            let (mut now, mut seq, mut n_ops) = (SimTime::ZERO, 0u64, 0u64);
             for &(sel, param) in &ops {
+                let delay = SimDuration::from_ps(param % 4);
                 match sel {
-                    // Schedule (weighted 6/10 so the queue stays busy).
-                    0..=5 => {
-                        let at = model_now.checked_add(SimDuration::from_ps(param)).unwrap();
-                        let seq = model.len() as u64;
-                        handles.push(q.schedule_at(at, seq).unwrap());
-                        model.push((at, seq, false, false));
-                    }
-                    // Cancel a (possibly stale) handle.
-                    6 | 7 => {
-                        if !handles.is_empty() {
-                            let k = (param as usize) % handles.len();
-                            let expect = !model[k].2 && !model[k].3;
-                            prop_assert_eq!(q.cancel(handles[k]), expect);
-                            model[k].2 = true;
+                    // Schedule at or after now, or (absolute) possibly in the past.
+                    0..=4 => {
+                        let at = match sel {
+                            0 | 1 => now + delay,
+                            2 => SimTime::from_ps(param % 64),
+                            _ => SimTime::from_ps(now.as_ps().saturating_sub(1 + param % 4)),
+                        };
+                        let got = q.schedule_at(at, seq);
+                        if at < now {
+                            prop_assert_eq!(got, Err(SchedulePastError { now, requested: at }));
+                        } else {
+                            prop_assert_eq!(got, Ok(()));
+                            model.insert((at, seq), seq);
+                            seq += 1;
+                            n_ops += 1;
                         }
                     }
-                    // Pop, comparing against the model's minimum live entry.
+                    5 | 6 => {
+                        prop_assert_eq!(q.schedule_after(delay, seq), Ok(()));
+                        model.insert((now + delay, seq), seq);
+                        seq += 1;
+                        n_ops += 1;
+                    }
+                    7..=9 => {
+                        let want = model.pop_first().map(|((t, _), ev)| (t, ev));
+                        prop_assert_eq!(q.pop(), want);
+                        if let Some((t, _)) = want {
+                            now = t;
+                            n_ops += 1;
+                        }
+                    }
+                    10 => {
+                        let due = model.keys().next().map(|&(t, _)| t);
+                        prop_assert_eq!(q.peek_time(), due);
+                    }
+                    // Advance no further than the next pending event.
                     _ => {
-                        let pick = model
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| !e.2 && !e.3)
-                            .min_by_key(|(_, e)| (e.0, e.1))
-                            .map(|(i, _)| i);
-                        match (q.pop(), pick) {
-                            (Some((t, seq)), Some(i)) => {
-                                prop_assert_eq!((t, seq), (model[i].0, model[i].1));
-                                model[i].3 = true;
-                                model_now = t;
-                                prop_assert_eq!(q.now(), model_now);
-                            }
-                            (None, None) => {}
-                            (got, want) => {
-                                prop_assert!(false, "pop mismatch: got {:?}, want {:?}", got, want);
-                            }
-                        }
+                        let due = model.keys().next().map_or(SimTime::MAX, |&(t, _)| t);
+                        now = (now + delay).min(due);
+                        q.advance_to(now);
                     }
                 }
-                let live = model.iter().filter(|e| !e.2 && !e.3).count();
-                prop_assert_eq!(q.len(), live);
+                prop_assert_eq!(q.now(), now);
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.ops(), n_ops);
             }
-            // Draining pops the surviving entries in exact (time, seq) order.
-            let mut remaining: Vec<(SimTime, u64)> =
-                model.iter().filter(|e| !e.2 && !e.3).map(|e| (e.0, e.1)).collect();
-            remaining.sort();
+            // Draining pops the survivors in exact (time, seq) order.
             let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+            let remaining: Vec<(SimTime, u64)> = model.into_iter().map(|((t, _), ev)| (t, ev)).collect();
             prop_assert_eq!(drained, remaining);
         }
 

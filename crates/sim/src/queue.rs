@@ -6,53 +6,22 @@
 //! an essential property for reproducing the paper's experiments, which
 //! must give identical numbers on every run with the same seed.
 //!
-//! # Cancellation via tombstones
+//! # Sized for a handful of pending events
 //!
-//! Cancellation is lazy. Each pending event owns a *slot* in a slab of
-//! generation counters; its [`EventHandle`] packs the slot index with
-//! the generation observed at schedule time. [`cancel`] simply bumps
-//! the slot's generation — O(1), no heap surgery, no hashing — which
-//! turns the event's heap entry into a *tombstone*. [`pop`] discards
-//! tombstones by comparing each entry's recorded generation against the
-//! slab with a single indexed load, so the hot path carries no
-//! per-event `HashSet` lookup. Slot generations use parity to encode
-//! occupancy (odd = live), so freed slots can be reused immediately
-//! while stale handles — including handles that survive a
-//! [`clear`](EventQueue::clear) — can never cancel a later event.
-//!
-//! [`cancel`]: EventQueue::cancel
-//! [`pop`]: EventQueue::pop
+//! The pending events sit in an unsorted `Vec`. Scheduling pushes an
+//! entry; [`pop`](EventQueue::pop) and
+//! [`peek_time`](EventQueue::peek_time) scan for the minimum
+//! `(time, seq)`, and `pop` removes it with `swap_remove`. Scheduling is
+//! O(1) and popping is O(pending). The AETR interface keeps at most
+//! three events pending (the next tick, the next request and the frame
+//! in flight), and at that depth a short linear scan beats any heap.
+//! A caller that keeps thousands of events pending should use a heap
+//! instead.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
-
-/// Opaque handle to a scheduled event, usable to [cancel] it.
-///
-/// Packs the event's slab slot (low 32 bits) with the slot's generation
-/// at schedule time (high 32 bits); the handle stays valid — and
-/// unambiguous — across slot reuse.
-///
-/// [cancel]: EventQueue::cancel
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
-impl EventHandle {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventHandle(u64::from(slot) | (u64::from(gen) << 32))
-    }
-
-    fn slot(self) -> u32 {
-        (self.0 & 0xFFFF_FFFF) as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
 
 /// Error returned when scheduling an event in the simulated past.
 ///
@@ -78,40 +47,12 @@ impl fmt::Display for SchedulePastError {
 
 impl Error for SchedulePastError {}
 
-/// One slab slot. `gen` parity encodes occupancy: odd = a live event
-/// owns the slot (and `event` is `Some`), even = free / tombstoned.
+/// One pending event with its ordering key.
 #[derive(Debug)]
-struct Slot<E> {
-    gen: u32,
-    event: Option<E>,
-}
-
-/// Heap entries carry only ordering keys plus the slot coordinates;
-/// payloads stay in the slab so sift operations move 24 bytes
-/// regardless of the event type.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
+    event: E,
 }
 
 /// A monotonic, deterministic event queue over an arbitrary event type.
@@ -136,13 +77,7 @@ impl Ord for HeapEntry {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    /// Exact number of live (scheduled, not cancelled, not popped)
-    /// events; maintained incrementally so `len()` stays O(1) even
-    /// while the heap carries tombstones.
-    live: usize,
+    pending: Vec<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     ops: u64,
@@ -157,46 +92,25 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            now: SimTime::ZERO,
-            next_seq: 0,
-            ops: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` concurrently
     /// pending events before any allocation.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            live: 0,
+            pending: Vec::with_capacity(capacity),
             now: SimTime::ZERO,
             next_seq: 0,
             ops: 0,
         }
     }
 
-    /// Reserves room for at least `additional` more concurrently
-    /// pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.slots.reserve(additional);
-    }
-
-    /// Lifetime count of queue operations (successful schedules plus
-    /// pops of live events). Tombstoned entries skipped during a pop
-    /// are *not* counted: a cancelled event costs one op when it is
-    /// scheduled and none afterwards.
+    /// Lifetime count of queue operations: successful schedules plus
+    /// pops that returned an event.
     ///
     /// This is the denominator for the telemetry profiling hook "queue
-    /// ops per wall-clock second"; it is monotone and survives
-    /// [`clear`](EventQueue::clear).
+    /// ops per wall-clock second"; it is monotone.
     pub fn ops(&self) -> u64 {
         self.ops
     }
@@ -207,43 +121,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) scheduled events.
+    /// Number of scheduled events not yet popped.
     pub fn len(&self) -> usize {
-        self.live
+        self.pending.len()
     }
 
-    /// `true` if no live events remain.
+    /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Claims a slot for a new event, returning `(slot, gen)` with the
-    /// generation already bumped to odd (occupied).
-    fn alloc_slot(&mut self, event: E) -> (u32, u32) {
-        if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            debug_assert!(s.gen.is_multiple_of(2), "free-list slot marked occupied");
-            s.gen = s.gen.wrapping_add(1);
-            s.event = Some(event);
-            (slot, s.gen)
-        } else {
-            let slot = u32::try_from(self.slots.len())
-                .expect("event queue slab exceeded u32::MAX concurrent events");
-            self.slots.push(Slot { gen: 1, event: Some(event) });
-            (slot, 1)
-        }
-    }
-
-    /// Releases `slot`, bumping its generation to even (free) and
-    /// dropping the payload. Any outstanding handle or heap entry that
-    /// recorded the old generation is now a tombstone.
-    fn release_slot(&mut self, slot: u32) -> Option<E> {
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(!s.gen.is_multiple_of(2), "releasing a slot that is not occupied");
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        self.live -= 1;
-        s.event.take()
+        self.pending.is_empty()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -255,16 +140,14 @@ impl<E> EventQueue<E> {
     /// event) and pops after all already-queued events at that instant.
     ///
     /// [`now`]: EventQueue::now
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> Result<EventHandle, SchedulePastError> {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) -> Result<(), SchedulePastError> {
         if at < self.now {
             return Err(SchedulePastError { now: self.now, requested: at });
         }
-        let (slot, gen) = self.alloc_slot(event);
-        self.heap.push(Reverse(HeapEntry { time: at, seq: self.next_seq, slot, gen }));
+        self.pending.push(Entry { time: at, seq: self.next_seq, event });
         self.next_seq += 1;
         self.ops += 1;
-        self.live += 1;
-        Ok(EventHandle::new(slot, gen))
+        Ok(())
     }
 
     /// Schedules `event` a relative `delay` after the current time.
@@ -277,7 +160,7 @@ impl<E> EventQueue<E> {
         &mut self,
         delay: SimDuration,
         event: E,
-    ) -> Result<EventHandle, SchedulePastError> {
+    ) -> Result<(), SchedulePastError> {
         let at = self
             .now
             .checked_add(delay)
@@ -285,82 +168,21 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event)
     }
 
-    /// Cancels a previously scheduled event in O(1): the event's slot
-    /// generation is bumped, turning its heap entry into a tombstone
-    /// that [`pop`](EventQueue::pop) will skip.
-    ///
-    /// Returns `true` if the event was still pending, `false` if it had
-    /// already popped or been cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let slot = handle.slot();
-        match self.slots.get(slot as usize) {
-            Some(s) if s.gen == handle.gen() => {
-                self.release_slot(slot);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// `true` if `entry` still refers to the live generation of its slot.
-    fn entry_is_live(&self, entry: &HeapEntry) -> bool {
-        self.slots[entry.slot as usize].gen == entry.gen
-    }
-
-    /// Pops the next live event, advancing the simulation clock to its
-    /// activation time. Tombstones of cancelled events are discarded
-    /// along the way without counting towards [`ops`](EventQueue::ops).
+    /// Pops the earliest event (schedule order breaks ties), advancing
+    /// the simulation clock to its activation time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.entry_is_live(&entry) {
-                continue;
-            }
-            let event = self.release_slot(entry.slot).expect("live slot missing its payload");
-            debug_assert!(entry.time >= self.now, "event queue went backwards");
-            self.now = entry.time;
-            self.ops += 1;
-            return Some((entry.time, event));
-        }
-        None
+        let next =
+            self.pending.iter().enumerate().min_by_key(|(_, e)| (e.time, e.seq)).map(|(i, _)| i)?;
+        let Entry { time, event, .. } = self.pending.swap_remove(next);
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        self.ops += 1;
+        Some((time, event))
     }
 
-    /// Activation time of the next live event without popping it.
-    ///
-    /// The top of the heap is almost always live (tombstones only
-    /// appear after a cancel), so the fast path is a single peek; a
-    /// stale top falls back to a linear scan for the earliest live
-    /// entry.
+    /// Activation time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let Reverse(top) = self.heap.peek()?;
-        if self.entry_is_live(top) {
-            return Some(top.time);
-        }
-        self.heap.iter().filter(|Reverse(e)| self.entry_is_live(e)).map(|Reverse(e)| e.time).min()
-    }
-
-    /// The next live event — exactly what [`pop`](EventQueue::pop)
-    /// would return — without popping it, advancing the clock, or
-    /// counting an op.
-    ///
-    /// Tombstone-skip semantics match `pop`: cancelled entries are
-    /// ignored (though, being non-consuming, this leaves them in the
-    /// heap), and ties at one instant resolve in schedule order.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let payload = |e: &HeapEntry| {
-            let ev =
-                self.slots[e.slot as usize].event.as_ref().expect("live slot missing its payload");
-            (e.time, ev)
-        };
-        let Reverse(top) = self.heap.peek()?;
-        if self.entry_is_live(top) {
-            return Some(payload(top));
-        }
-        self.heap
-            .iter()
-            .map(|Reverse(e)| e)
-            .filter(|e| self.entry_is_live(e))
-            .min_by(|a, b| a.cmp(b))
-            .map(payload)
+        self.pending.iter().map(|e| e.time).min()
     }
 
     /// Advances the clock to `t` without popping anything.
@@ -380,23 +202,6 @@ impl<E> EventQueue<E> {
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot advance the clock backwards from {} to {}", self.now, t);
         self.now = t;
-    }
-
-    /// Drops every pending event; the clock is left where it is.
-    ///
-    /// Occupied slots are tombstoned (generation bumped) rather than
-    /// reset, so handles issued before the clear can never cancel an
-    /// event scheduled after it.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if !s.gen.is_multiple_of(2) {
-                s.gen = s.gen.wrapping_add(1);
-                s.event = None;
-                self.free.push(i as u32);
-            }
-        }
-        self.live = 0;
     }
 }
 
@@ -455,61 +260,33 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_pop() {
+    fn len_and_is_empty_track_pops() {
         let mut q = EventQueue::new();
-        let keep = q.schedule_at(SimTime::from_ns(1), "keep").unwrap();
-        let drop_ = q.schedule_at(SimTime::from_ns(2), "drop").unwrap();
-        assert!(q.cancel(drop_));
-        assert!(!q.cancel(drop_), "double-cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(1), "keep")));
-        assert_eq!(q.pop(), None);
-        assert!(!q.cancel(keep), "cancelling a popped event reports false");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let first = q.schedule_at(SimTime::from_ns(1), ()).unwrap();
+        assert!(q.is_empty());
+        q.schedule_at(SimTime::from_ns(1), ()).unwrap();
         q.schedule_at(SimTime::from_ns(2), ()).unwrap();
-        q.cancel(first);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
-    }
-
-    #[test]
-    fn len_and_is_empty_track_cancellations() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        let h = q.schedule_at(SimTime::from_ns(1), ()).unwrap();
+        assert_eq!(q.len(), 2);
+        q.pop();
         assert_eq!(q.len(), 1);
-        q.cancel(h);
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_drops_everything_but_keeps_time() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_ns(5), ()).unwrap();
-        q.pop();
-        q.schedule_at(SimTime::from_ns(9), ()).unwrap();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_ns(5));
     }
 
     #[test]
     fn ops_counts_schedules_and_pops() {
         let mut q = EventQueue::new();
         assert_eq!(q.ops(), 0);
-        let a = q.schedule_at(SimTime::from_ns(1), ()).unwrap();
+        q.schedule_at(SimTime::from_ns(1), ()).unwrap();
         q.schedule_at(SimTime::from_ns(2), ()).unwrap();
         assert_eq!(q.ops(), 2);
-        q.cancel(a);
-        q.pop(); // pops the live event only
+        q.pop();
         assert_eq!(q.ops(), 3);
+        assert!(q.schedule_at(SimTime::ZERO, ()).is_err());
+        assert_eq!(q.ops(), 3, "a rejected schedule is not an op");
+        q.pop();
         assert_eq!(q.pop(), None);
-        assert_eq!(q.ops(), 3, "popping nothing is not an op");
+        assert_eq!(q.ops(), 4, "popping nothing is not an op");
     }
 
     #[test]
@@ -524,57 +301,8 @@ mod tests {
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(64);
         assert!(q.is_empty());
-        q.reserve(16);
         q.schedule_at(SimTime::from_ns(3), "x").unwrap();
         assert_eq!(q.pop(), Some((SimTime::from_ns(3), "x")));
-    }
-
-    #[test]
-    fn stale_handle_cannot_cancel_reused_slot() {
-        let mut q = EventQueue::new();
-        let old = q.schedule_at(SimTime::from_ns(1), "old").unwrap();
-        q.pop(); // frees the slot
-        let new = q.schedule_at(SimTime::from_ns(2), "new").unwrap();
-        assert!(!q.cancel(old), "stale handle must not cancel the slot's new tenant");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(new));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn handles_issued_before_clear_are_dead_after_it() {
-        let mut q = EventQueue::new();
-        let h = q.schedule_at(SimTime::from_ns(4), "doomed").unwrap();
-        q.clear();
-        let fresh = q.schedule_at(SimTime::from_ns(6), "fresh").unwrap();
-        assert!(!q.cancel(h), "pre-clear handle must be inert");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(6), "fresh")));
-        assert!(!q.cancel(fresh));
-    }
-
-    #[test]
-    fn cancel_then_reschedule_interleavings_keep_len_exact() {
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for i in 0..16u64 {
-            handles.push(q.schedule_at(SimTime::from_ns(i), i).unwrap());
-        }
-        // Cancel every other event, then refill the freed slots.
-        for h in handles.iter().step_by(2) {
-            assert!(q.cancel(*h));
-        }
-        assert_eq!(q.len(), 8);
-        for i in 16..24u64 {
-            q.schedule_at(SimTime::from_ns(i), i).unwrap();
-        }
-        assert_eq!(q.len(), 16);
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 16);
-        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -582,37 +310,27 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_ns(9), "late").unwrap();
         q.schedule_at(SimTime::from_ns(2), "early").unwrap();
-        assert_eq!(q.peek(), Some((SimTime::from_ns(2), &"early")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
         assert_eq!(q.now(), SimTime::ZERO, "peek does not advance the clock");
         assert_eq!(q.ops(), 2, "peek is not an op");
         assert_eq!(q.pop(), Some((SimTime::from_ns(2), "early")));
-        assert_eq!(q.peek(), Some((SimTime::from_ns(9), &"late")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
         q.pop();
-        assert_eq!(q.peek(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn peek_resolves_ties_in_schedule_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(4);
+        q.schedule_at(SimTime::from_ns(6), "later").unwrap();
         q.schedule_at(t, "first").unwrap();
         q.schedule_at(t, "second").unwrap();
-        assert_eq!(q.peek(), Some((t, &"first")));
-        q.pop();
-        assert_eq!(q.peek(), Some((t, &"second")));
-    }
-
-    #[test]
-    fn peek_skips_tombstones_like_pop() {
-        let mut q = EventQueue::new();
-        let early = q.schedule_at(SimTime::from_ns(1), "dead").unwrap();
-        let mid = q.schedule_at(SimTime::from_ns(5), "also dead").unwrap();
-        q.schedule_at(SimTime::from_ns(9), "live").unwrap();
-        q.cancel(early);
-        q.cancel(mid);
-        assert_eq!(q.peek(), Some((SimTime::from_ns(9), &"live")));
-        assert_eq!(q.pop(), Some((SimTime::from_ns(9), "live")));
-        assert_eq!(q.peek(), None);
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, "first")));
+        assert_eq!(q.peek_time(), Some(t), "the tied event is still due");
+        assert_eq!(q.pop(), Some((t, "second")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(6)));
     }
 
     #[test]
@@ -636,18 +354,5 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         q.advance_to(SimTime::from_ns(10));
         q.advance_to(SimTime::from_ns(9));
-    }
-
-    #[test]
-    fn peek_falls_back_when_top_is_tombstoned() {
-        let mut q = EventQueue::new();
-        let early = q.schedule_at(SimTime::from_ns(1), ()).unwrap();
-        let mid = q.schedule_at(SimTime::from_ns(5), ()).unwrap();
-        q.schedule_at(SimTime::from_ns(9), ()).unwrap();
-        q.cancel(early);
-        q.cancel(mid);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
-        assert_eq!(q.pop().unwrap().0, SimTime::from_ns(9));
-        assert_eq!(q.peek_time(), None);
     }
 }
