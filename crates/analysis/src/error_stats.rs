@@ -99,7 +99,7 @@ impl fmt::Display for Region {
 /// second above it) means the clock never gets to divide.
 ///
 /// `max_measurable_secs` is the interface's saturation interval
-/// (`SegmentTable::max_measurable`); `t_min_secs` the fastest sampling
+/// (`ClockGenConfig::max_measurable`); `t_min_secs` the fastest sampling
 /// period.
 pub fn classify_region(
     rate_hz: f64,

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use aetr::quantizer::quantize_train;
 use aetr_aer::generator::{PoissonGenerator, SpikeSource};
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
-use aetr_clockgen::segments::SegmentTable;
+use aetr_clockgen::engine::SamplingEngine;
 use aetr_sim::time::{SimDuration, SimTime};
 
 fn bench_quantize_train(c: &mut Criterion) {
@@ -27,35 +27,38 @@ fn bench_quantize_train(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_segment_quantize(c: &mut Criterion) {
-    let mut group = c.benchmark_group("segment_table");
-    for policy in [DivisionPolicy::Recursive, DivisionPolicy::Never, DivisionPolicy::Linear] {
-        let table = SegmentTable::new(&ClockGenConfig::prototype().with_policy(policy));
-        group.bench_function(format!("quantize/{policy}"), |b| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i = (i.wrapping_mul(6_364_136_223_846_793_005)).wrapping_add(1) % 100_000_000;
-                std::hint::black_box(table.quantize(SimDuration::from_ps(i + 1)))
+/// One `SamplingEngine::process` call per iteration, per policy, on
+/// dense deltas (inside the first `θ_div` run, no division) and sparse
+/// ones (spread over the whole division ladder and past shutdown).
+fn bench_engine_process(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sampling_engine");
+    let base = ClockGenConfig::prototype().base_sampling_period();
+    for policy in [
+        DivisionPolicy::Recursive,
+        DivisionPolicy::DivideOnly,
+        DivisionPolicy::Never,
+        DivisionPolicy::Linear,
+    ] {
+        let config = ClockGenConfig::prototype().with_policy(policy);
+        for (density, max_delta) in [("dense", base * 48), ("sparse", base * 2_000)] {
+            group.bench_function(format!("process/{policy}/{density}"), |b| {
+                let mut engine = SamplingEngine::new(&config);
+                let mut request = SimTime::ZERO;
+                let mut i = 0u64;
+                b.iter(|| {
+                    i = (i.wrapping_mul(6_364_136_223_846_793_005)).wrapping_add(1);
+                    request += SimDuration::from_ps((i >> 17) % max_delta.as_ps());
+                    std::hint::black_box(engine.process(request))
+                });
             });
-        });
+        }
     }
     group.finish();
-}
-
-fn bench_usage_accounting(c: &mut Criterion) {
-    let table = SegmentTable::new(&ClockGenConfig::prototype());
-    c.bench_function("segment_table/usage_until", |b| {
-        let mut i = 1u64;
-        b.iter(|| {
-            i = i.wrapping_mul(48_271) % 1_000_000_000;
-            std::hint::black_box(table.usage_until(SimDuration::from_ps(i + 1)))
-        });
-    });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_quantize_train, bench_segment_quantize, bench_usage_accounting
+    targets = bench_quantize_train, bench_engine_process
 }
 criterion_main!(benches);

@@ -18,7 +18,6 @@ use aetr_analysis::sweep::log_space;
 use aetr_analysis::table::{fmt_sig, Table};
 use aetr_bench::{banner, poisson_workload, write_result};
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
-use aetr_clockgen::segments::SegmentTable;
 use aetr_power::model::PowerModel;
 
 const SEED: u64 = 0xAB1;
@@ -36,8 +35,7 @@ fn main() {
 
     println!("measurable range per policy (θ=64, N=3):");
     for policy in policies {
-        let table = SegmentTable::new(&ClockGenConfig::prototype().with_policy(policy));
-        match table.max_measurable() {
+        match ClockGenConfig::prototype().with_policy(policy).max_measurable() {
             Some(d) => println!("  {policy:<12} saturates at {d}"),
             None => println!("  {policy:<12} never saturates (counter-width limited)"),
         }

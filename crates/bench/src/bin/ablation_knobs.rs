@@ -11,7 +11,6 @@ use aetr::quantizer::{isi_error_samples, quantize_train};
 use aetr_analysis::table::Table;
 use aetr_bench::{banner, poisson_workload, write_result};
 use aetr_clockgen::config::ClockGenConfig;
-use aetr_clockgen::segments::SegmentTable;
 use aetr_power::model::PowerModel;
 
 const SEED: u64 = 0xAB6;
@@ -31,8 +30,7 @@ fn main() {
     for &theta in &[16u32, 32, 64, 128] {
         for &n_div in &[1u32, 3, 5, 7] {
             let config = ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n_div);
-            let seg = SegmentTable::new(&config);
-            let max = seg.max_measurable().expect("recursive policy saturates");
+            let max = config.max_measurable().expect("recursive policy saturates");
 
             // Accuracy probe: Poisson at a rate whose mean ISI sits in
             // the middle of this configuration's measurable range.

@@ -17,7 +17,6 @@ use aetr_analysis::sweep::log_space;
 use aetr_analysis::table::{fmt_sig, Table};
 use aetr_bench::{banner, poisson_workload, write_result};
 use aetr_clockgen::config::ClockGenConfig;
-use aetr_clockgen::segments::SegmentTable;
 
 const SEED: u64 = 0xF166;
 const THETAS: [u32; 3] = [16, 32, 64];
@@ -37,9 +36,8 @@ fn main() {
 
     for &theta in &THETAS {
         let config = ClockGenConfig::prototype().with_theta_div(theta);
-        let seg = SegmentTable::new(&config);
-        let max_meas = seg.max_measurable().expect("recursive policy saturates").as_secs_f64();
-        let t_min = seg.base_period().as_secs_f64();
+        let max_meas = config.max_measurable().expect("recursive policy saturates").as_secs_f64();
+        let t_min = config.base_sampling_period().as_secs_f64();
         let mut curve = Vec::new();
 
         for (i, &rate) in rates.iter().enumerate() {

@@ -158,6 +158,29 @@ impl ClockGenConfig {
         self.base_sampling_period() * 2
     }
 
+    /// The counter value, in `T_min` units, at which the sampling clock
+    /// shuts down after an event: `θ_div` ticks at each multiplier up to
+    /// the last division, `θ_div·(2^(N_div+1) − 1)` for the recursive
+    /// policy. `None` for policies that never stop, whose counter grows
+    /// until the [width clamp](ClockGenConfig::counter_max).
+    pub fn saturation_ticks(&self) -> Option<u64> {
+        let theta = u64::from(self.theta_div);
+        let n = u64::from(self.n_div);
+        match self.policy {
+            DivisionPolicy::Recursive => Some(theta * ((2 << n) - 1)),
+            DivisionPolicy::Linear => Some(theta * (n + 1) * (n + 2) / 2),
+            DivisionPolicy::DivideOnly | DivisionPolicy::Never => None,
+        }
+    }
+
+    /// The longest interval measurable without saturation (the paper's
+    /// "maximum time interval the interface is able to measure", §5.2):
+    /// the time from an event to the shutdown tick. `None` for policies
+    /// that never stop.
+    pub fn max_measurable(&self) -> Option<SimDuration> {
+        self.saturation_ticks().map(|ticks| self.base_sampling_period().saturating_mul(ticks))
+    }
+
     /// Saturation value of the timestamp counter.
     pub fn counter_max(&self) -> u64 {
         if self.counter_bits >= 64 {
@@ -275,6 +298,37 @@ mod tests {
         let min_ns = cfg.min_resolvable_interval().as_ns();
         assert!((130..=140).contains(&min_ns), "min interval {min_ns} ns");
         assert_eq!(cfg.counter_max(), (1 << 22) - 1);
+    }
+
+    /// The closed forms agree with the FSM stepped tick by tick to its
+    /// shutdown, and the prototype saturates after 64·(1+2+4+8) ticks.
+    #[test]
+    fn saturation_matches_per_tick_shutdown() {
+        use crate::fsm::{FsmAction, SamplerFsm};
+        let proto = ClockGenConfig::prototype();
+        assert_eq!(proto.saturation_ticks(), Some(960));
+        assert_eq!(proto.max_measurable(), Some(proto.base_sampling_period() * 960));
+        for policy in [
+            DivisionPolicy::Recursive,
+            DivisionPolicy::DivideOnly,
+            DivisionPolicy::Never,
+            DivisionPolicy::Linear,
+        ] {
+            for (theta, n_div) in [(2u32, 0u32), (3, 1), (8, 3), (5, 6)] {
+                let cfg = proto.with_policy(policy).with_theta_div(theta).with_n_div(n_div);
+                let mut fsm = SamplerFsm::new(&cfg);
+                let mut elapsed = 0;
+                let mut shutdown = None;
+                for _ in 0..2_000 {
+                    elapsed += fsm.multiplier();
+                    if fsm.on_tick(false) == FsmAction::ShutDown {
+                        shutdown = Some(elapsed);
+                        break;
+                    }
+                }
+                assert_eq!(cfg.saturation_ticks(), shutdown, "{policy:?} θ={theta} N={n_div}");
+            }
+        }
     }
 
     #[test]

@@ -6,14 +6,19 @@
 //! [FSM](fsm) that doubles the sampling period every `θ_div` quiet
 //! cycles and stops the clock entirely after `N_div` divisions.
 //!
-//! Two execution models are provided, with property-tested
-//! equivalence:
+//! The FSM's clock trajectory has one reference and one fast path:
 //!
-//! * [`fsm::SamplerFsm`] — cycle-accurate, used by the full-interface
-//!   DES and the [waveform recorder](schedule) (Fig. 2);
-//! * [`engine::SamplingEngine`] over a precomputed
-//!   [`segments::SegmentTable`] — O(events), used for the Fig. 6/8
-//!   sweeps.
+//! * [`SamplerFsm::on_tick`] — one call per sampling-clock edge, the
+//!   cycle-accurate reference, used by the per-tick DES engine and the
+//!   [waveform recorder](schedule) (Fig. 2);
+//! * [`SamplerFsm::advance_idle_each`] — a closed-form cursor that
+//!   walks the quiet ticks between requests as constant-multiplier
+//!   runs, at most one division per call. The DES fast-forward replays
+//!   its runs into the power meter and telemetry, and
+//!   [`engine::SamplingEngine`] folds request times over it for the
+//!   O(events) Fig. 6/8 sweeps.
+//!
+//! Property tests pin the cursor and the engine to per-tick stepping.
 //!
 //! # Examples
 //!
@@ -39,20 +44,16 @@
 pub mod config;
 pub mod divider;
 pub mod engine;
-pub mod fll;
 pub mod fsm;
 pub mod jitter;
-pub mod pausible;
 pub mod ring;
 pub mod schedule;
-pub mod segments;
 pub mod trim;
 
 pub use config::{ClockGenConfig, DivisionPolicy};
 pub use engine::{QuantizedEvent, SamplingEngine};
-pub use fsm::{IdleAdvance, IdleBoundary, IdleSegment, SamplerFsm};
+pub use fsm::{IdleBoundary, IdleSegment, SamplerFsm};
 pub use ring::{RingOscillator, RingOscillatorConfig};
-pub use segments::SegmentTable;
 
 #[cfg(test)]
 mod proptests {
@@ -62,7 +63,7 @@ mod proptests {
 
     use crate::config::{ClockGenConfig, DivisionPolicy};
     use crate::engine::{ActivityReport, QuantizedEvent, SamplingEngine};
-    use crate::segments::{QuantizeOutcome, SegmentTable, Tail};
+    use crate::fsm::{FsmAction, SamplerFsm};
 
     fn any_policy() -> impl Strategy<Value = DivisionPolicy> {
         prop_oneof![
@@ -73,10 +74,23 @@ mod proptests {
         ]
     }
 
+    /// Case count of the per-tick differential: the proptest default,
+    /// raised on the nightly schedule via `AETR_PROPTEST_CASES` (see
+    /// `.github/workflows/ci.yml`).
+    fn cases() -> u32 {
+        std::env::var("AETR_PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+    }
+
+    /// The first event after `delta` from a fresh engine.
+    fn first_event(config: &ClockGenConfig, delta: SimDuration) -> QuantizedEvent {
+        SamplingEngine::new(config).process(SimTime::ZERO + delta)
+    }
+
     proptest! {
         /// Quantization never under-estimates a running-clock interval:
-        /// the detecting tick is at or after the request, and the
-        /// counter equals the detection offset exactly.
+        /// the detecting tick is at or after the request, on the `T_min`
+        /// grid, and the counter equals the detection offset exactly;
+        /// past shutdown the counter reads the saturation value.
         #[test]
         fn quantize_is_conservative(
             theta in 2u32..200,
@@ -88,19 +102,17 @@ mod proptests {
                 .with_theta_div(theta)
                 .with_n_div(n_div)
                 .with_policy(policy);
-            let table = SegmentTable::new(&cfg);
-            match table.quantize(SimDuration::from_ps(delta_ps)) {
-                QuantizeOutcome::Sampled { detection_offset, ticks } => {
-                    prop_assert!(detection_offset >= SimDuration::from_ps(delta_ps));
-                    prop_assert_eq!(detection_offset / table.base_period(), ticks);
-                    prop_assert_eq!(
-                        detection_offset.as_ps() % table.base_period().as_ps(), 0,
-                        "ticks land on the T_min grid");
-                }
-                QuantizeOutcome::Asleep { frozen_ticks, off_since } => {
-                    prop_assert!(SimDuration::from_ps(delta_ps) > off_since);
-                    prop_assert_eq!(Some(frozen_ticks), table.max_counter());
-                }
+            let base = cfg.base_sampling_period();
+            let delta = SimDuration::from_ps(delta_ps);
+            let ev = first_event(&cfg, delta);
+            if ev.woke_clock {
+                prop_assert!(cfg.max_measurable().is_some_and(|max| delta > max));
+                prop_assert_eq!(Some(ev.timestamp_ticks), cfg.saturation_ticks());
+            } else {
+                let offset = ev.detection - SimTime::ZERO;
+                prop_assert!(offset >= delta);
+                prop_assert_eq!(offset / base, ev.timestamp_ticks);
+                prop_assert_eq!(offset.as_ps() % base.as_ps(), 0, "ticks land on the T_min grid");
             }
         }
 
@@ -125,172 +137,174 @@ mod proptests {
         }
 
         /// Usage accounting is exact: active + off time equals the
-        /// quantized horizon for an idle stretch.
+        /// horizon of an idle stretch.
         #[test]
         fn idle_usage_is_exact(
             until_ps in 1u64..100_000_000_000u64,
             theta in 2u32..100,
             n in 0u32..8,
+            policy in any_policy(),
         ) {
-            let cfg = ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n);
-            let table = SegmentTable::new(&cfg);
+            let cfg =
+                ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n).with_policy(policy);
             let until = SimDuration::from_ps(until_ps);
-            let usage = table.usage_until(until);
-            prop_assert_eq!(usage.total(), until);
+            let mut engine = SamplingEngine::new(&cfg);
+            prop_assert_eq!(engine.finish(SimTime::ZERO + until).usage.total(), until);
         }
 
-        /// The detection overshoot is bounded by the slowest segment's
-        /// period — the quantization-error envelope behind Fig. 6.
+        /// The detection overshoot is bounded by the slowest period —
+        /// the quantization-error envelope behind Fig. 6.
         #[test]
         fn quantization_error_bounded_by_local_period(delta_ps in 100_000u64..500_000_000u64) {
             let cfg = ClockGenConfig::prototype();
-            let table = SegmentTable::new(&cfg);
             let delta = SimDuration::from_ps(delta_ps);
-            if let QuantizeOutcome::Sampled { detection_offset, .. } = table.quantize(delta) {
-                let overshoot = detection_offset - delta;
-                let max_step = table.base_period() * (1 << cfg.n_div);
-                prop_assert!(overshoot <= max_step);
+            let ev = first_event(&cfg, delta);
+            if !ev.woke_clock {
+                let overshoot = ev.detection - (SimTime::ZERO + delta);
+                prop_assert!(overshoot <= cfg.base_sampling_period() * (1 << cfg.n_div));
             }
         }
     }
 
-    /// `ceil(a / b)` the way the reference quantizer computed it.
-    fn reference_div_ceil(a: SimDuration, b: SimDuration) -> u64 {
-        let q = a / b;
-        if b.saturating_mul(q) < a {
-            q + 1
-        } else {
-            q
-        }
-    }
-
-    /// The quantizer before the one-division form: the detecting tick
-    /// computed twice per segment, then divided by `T_min` again.
-    fn reference_quantize(table: &SegmentTable, delta: SimDuration) -> QuantizeOutcome {
-        let base = table.base_period();
-        for seg in table.segments() {
-            if delta <= seg.end {
-                let detect_in = || {
-                    let step = base.saturating_mul(seg.multiplier);
-                    let rel =
-                        if delta >= seg.start { delta - seg.start } else { SimDuration::ZERO };
-                    if rel.is_zero() && !seg.start.is_zero() {
-                        return seg.start;
-                    }
-                    seg.start + step.saturating_mul(reference_div_ceil(rel, step).max(1))
-                };
-                return QuantizeOutcome::Sampled {
-                    detection_offset: detect_in(),
-                    ticks: detect_in() / base,
-                };
-            }
-        }
-        let start = table.segments().last().map_or(SimDuration::ZERO, |s| s.end);
-        match table.tail() {
-            Tail::Shutdown => {
-                QuantizeOutcome::Asleep { frozen_ticks: start / base, off_since: start }
-            }
-            Tail::Infinite { multiplier } => {
-                let step = base.saturating_mul(multiplier);
-                let j = reference_div_ceil(delta - start, step).max(1);
-                let offset = start + step.saturating_mul(j);
-                QuantizeOutcome::Sampled { detection_offset: offset, ticks: offset / base }
-            }
-        }
-    }
-
-    /// The sampling engine before in-place accumulation: a fresh
-    /// `usage_until` record per event, merged into the report.
-    struct ReferenceEngine {
-        config: ClockGenConfig,
-        table: SegmentTable,
+    /// The behavioural engine rebuilt on the reference model: the FSM
+    /// stepped one [`SamplerFsm::on_tick`] per sampling edge, each tick
+    /// booking the period before it at the multiplier in force before
+    /// it. A timestamp is saturated when it no longer encodes the time
+    /// since the last detection.
+    struct PerTickEngine {
+        fsm: SamplerFsm,
+        base: SimDuration,
+        wake_latency: SimDuration,
         last_detection: SimTime,
         report: ActivityReport,
     }
 
-    impl ReferenceEngine {
-        fn new(config: &ClockGenConfig) -> ReferenceEngine {
-            ReferenceEngine {
-                config: *config,
-                table: SegmentTable::new(config),
+    impl PerTickEngine {
+        fn new(config: &ClockGenConfig) -> PerTickEngine {
+            PerTickEngine {
+                fsm: SamplerFsm::new(config),
+                base: config.base_sampling_period(),
+                wake_latency: config.ring.wake_latency,
                 last_detection: SimTime::ZERO,
                 report: ActivityReport::default(),
             }
         }
 
         fn process(&mut self, request: SimTime) -> QuantizedEvent {
-            let base = self.config.base_sampling_period();
-            let wake = self.config.ring.wake_latency + base;
-            let counter_max = self.config.counter_max();
-            let delta = request.saturating_duration_since(self.last_detection);
-            let (event, usage) = match reference_quantize(&self.table, delta) {
-                QuantizeOutcome::Sampled { detection_offset, ticks } => {
-                    let clamped = ticks.min(counter_max);
-                    let event = QuantizedEvent {
-                        request,
-                        detection: self.last_detection + detection_offset,
-                        timestamp_ticks: clamped,
-                        saturated: clamped != ticks,
-                        woke_clock: false,
-                    };
-                    (event, self.table.usage_until(detection_offset))
-                }
-                QuantizeOutcome::Asleep { frozen_ticks, off_since } => {
-                    let event = QuantizedEvent {
-                        request,
-                        detection: request + wake,
-                        timestamp_ticks: frozen_ticks.min(counter_max),
-                        saturated: true,
-                        woke_clock: true,
-                    };
-                    self.report.wake_count += 1;
-                    let mut usage = self.table.usage_until(off_since);
-                    usage.off += delta - off_since;
-                    usage.add_active(1, wake);
-                    (event, usage)
+            let mut t = self.last_detection;
+            let event = loop {
+                let period = self.fsm.current_period();
+                self.report.usage.add_active(self.fsm.multiplier(), period);
+                t += period;
+                match self.fsm.on_tick(request <= t) {
+                    FsmAction::Sampled { timestamp_ticks } => {
+                        break QuantizedEvent {
+                            request,
+                            detection: t,
+                            timestamp_ticks,
+                            saturated: self.base * timestamp_ticks != t - self.last_detection,
+                            woke_clock: false,
+                        };
+                    }
+                    FsmAction::ShutDown => {
+                        self.report.usage.off += request - t;
+                        self.report.usage.add_active(1, self.wake_latency + self.base);
+                        self.report.wake_count += 1;
+                        break QuantizedEvent {
+                            request,
+                            detection: request + self.wake_latency + self.base,
+                            timestamp_ticks: self.fsm.wake(),
+                            saturated: true,
+                            woke_clock: true,
+                        };
+                    }
+                    FsmAction::Ticked | FsmAction::Divided { .. } => {}
                 }
             };
-            self.report.usage.merge(&usage);
             self.report.event_count += 1;
-            if event.saturated {
-                self.report.saturated_count += 1;
-            }
+            self.report.saturated_count += u64::from(event.saturated);
             self.last_detection = event.detection;
             event
         }
 
         fn finish(&mut self, horizon: SimTime) -> &ActivityReport {
-            let tail = horizon.saturating_duration_since(self.last_detection);
-            if !tail.is_zero() {
-                self.report.usage.merge(&self.table.usage_until(tail));
-                self.last_detection = horizon;
+            let mut t = self.last_detection;
+            while t < horizon {
+                let period = self.fsm.current_period();
+                let next = t + period;
+                if next >= horizon {
+                    self.report.usage.add_active(self.fsm.multiplier(), horizon - t);
+                    break;
+                }
+                self.report.usage.add_active(self.fsm.multiplier(), period);
+                t = next;
+                if self.fsm.on_tick(false) == FsmAction::ShutDown {
+                    self.report.usage.off += horizon - t;
+                    break;
+                }
             }
             &self.report
         }
     }
 
-    /// A delta chosen to hit the quantizer's edge cases: zero, exactly
-    /// on (or one picosecond either side of) a segment boundary, an
-    /// exact `T_min` multiple, anywhere, or beyond shutdown.
-    fn pick_delta(table: &SegmentTable, kind: u8, pick: u64) -> SimDuration {
-        let base = table.base_period();
-        let last_end = table.segments().last().map_or(base * 100, |s| s.end);
-        let span = last_end.as_ps() * 2;
+    /// Offsets from a detection of the ticks that divide or shut down
+    /// the clock, each with the period after it, from per-tick stepping
+    /// (a plateau is cut off after its last division).
+    fn division_boundaries(config: &ClockGenConfig) -> Vec<(SimDuration, SimDuration)> {
+        let mut fsm = SamplerFsm::new(config);
+        let mut at = SimDuration::ZERO;
+        let mut out = Vec::new();
+        for _ in 0..=config.theta_div * (config.n_div + 1) {
+            at += fsm.current_period();
+            match fsm.on_tick(false) {
+                FsmAction::Divided { .. } => out.push((at, fsm.current_period())),
+                FsmAction::ShutDown => {
+                    out.push((at, fsm.current_period()));
+                    break;
+                }
+                FsmAction::Ticked | FsmAction::Sampled { .. } => {}
+            }
+        }
+        out
+    }
+
+    /// A delta chosen to hit the quantizer's edge cases: zero, at, 1 ps
+    /// either side of or one tick past a division or shutdown boundary,
+    /// an exact `T_min` multiple, anywhere, or beyond the last boundary.
+    fn pick_delta(
+        boundaries: &[(SimDuration, SimDuration)],
+        base: SimDuration,
+        kind: u8,
+        pick: u64,
+    ) -> SimDuration {
+        let last = boundaries.last().map_or(base * 64, |&(at, _)| at);
+        let span = last.as_ps() * 2;
         match kind {
             0 => SimDuration::ZERO,
             1 => {
-                let ends: Vec<SimDuration> = table.segments().iter().map(|s| s.end).collect();
-                let edge = ends.get(pick as usize % ends.len().max(1)).copied().unwrap_or(last_end);
-                SimDuration::from_ps((edge.as_ps() + (pick >> 32) % 3).saturating_sub(1))
+                let (edge, next) = boundaries
+                    .get(pick as usize % boundaries.len().max(1))
+                    .copied()
+                    .unwrap_or((last, base));
+                match (pick >> 32) % 4 {
+                    0 => edge - SimDuration::from_ps(1),
+                    1 => edge,
+                    2 => edge + SimDuration::from_ps(1),
+                    _ => edge + next,
+                }
             }
             2 => base * (pick % (span / base.as_ps())),
             3 => SimDuration::from_ps(pick % span),
-            _ => last_end + SimDuration::from_ps(1 + pick % span),
+            _ => last + SimDuration::from_ps(1 + pick % span),
         }
     }
 
+    /// Every knob of the trajectory, with `θ_div` and `N_div` kept small
+    /// because the reference costs one `on_tick` per tick: a few
+    /// thousand ticks per case at most. Counter widths go down to 4 bits
+    /// so the clamp is hit.
     fn any_config() -> impl Strategy<Value = ClockGenConfig> {
-        (2u32..200, 0u32..21, any_policy(), 4u32..33).prop_map(|(theta, n_div, policy, bits)| {
+        (2u32..24, 0u32..6, any_policy(), 4u32..33).prop_map(|(theta, n_div, policy, bits)| {
             ClockGenConfig {
                 counter_bits: bits,
                 ..ClockGenConfig::prototype()
@@ -302,41 +316,31 @@ mod proptests {
     }
 
     proptest! {
-        /// The one-division quantizer returns exactly what the
-        /// two-`detect_in` form returned, on every policy and edge case.
-        #[test]
-        fn quantize_matches_two_division_reference(
-            config in any_config(),
-            kind in 0u8..5,
-            pick in any::<u64>(),
-        ) {
-            let table = SegmentTable::new(&config);
-            let delta = pick_delta(&table, kind, pick);
-            prop_assert_eq!(table.quantize(delta), reference_quantize(&table, delta), "delta {}", delta);
-        }
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-        /// The allocation-free engine emits the same events and the
-        /// same activity report (usage, wakes, saturations) as a
-        /// per-event `usage_until` + `merge` fold, counter-width
-        /// clamping included.
+        /// The cursor-folding engine emits the same events and, after
+        /// `finish`, the same activity report (usage per multiplier, off
+        /// time, wakes, saturations) as the per-tick reference.
         #[test]
-        fn engine_matches_per_event_merge_reference(
+        fn engine_matches_per_tick_reference(
             config in any_config(),
             steps in proptest::collection::vec((0u8..6, any::<u64>()), 1..60),
-            tail_ps in 0u64..10_000_000_000u64,
+            tail in (0u8..5, any::<u64>()),
         ) {
+            let base = config.base_sampling_period();
+            let boundaries = division_boundaries(&config);
             let mut engine = SamplingEngine::new(&config);
-            let mut reference = ReferenceEngine::new(&config);
+            let mut reference = PerTickEngine::new(&config);
             let mut request = SimTime::ZERO;
             for (kind, pick) in steps {
                 // Kind 5 repeats the previous request time: a request
                 // still pending behind the last handshake.
                 if kind < 5 {
-                    request = reference.last_detection + pick_delta(engine.table(), kind, pick);
+                    request = reference.last_detection + pick_delta(&boundaries, base, kind, pick);
                 }
                 prop_assert_eq!(engine.process(request), reference.process(request));
             }
-            let horizon = reference.last_detection + SimDuration::from_ps(tail_ps);
+            let horizon = reference.last_detection + pick_delta(&boundaries, base, tail.0, tail.1);
             prop_assert_eq!(engine.finish(horizon), reference.finish(horizon));
         }
     }

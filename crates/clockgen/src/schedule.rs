@@ -13,7 +13,7 @@ use aetr_sim::time::SimTime;
 use aetr_sim::trace::{SignalId, TraceValue, Tracer};
 
 use crate::config::ClockGenConfig;
-use crate::fsm::{FsmAction, SamplerFsm};
+use crate::fsm::{FsmAction, IdleBoundary, SamplerFsm};
 
 /// A recorded clock waveform with handles to its signals.
 #[derive(Debug, Clone)]
@@ -142,15 +142,25 @@ pub fn record_waveform(
 
 /// Returns, for the Fig. 2 scenario (no requests), the expected
 /// sequence of period multipliers over time: `θ_div` ticks each of
-/// `1, 2, 4, ..., 2^N_div`, then off.
+/// `1, 2, 4, ..., 2^N_div`, then off. These are the multipliers of the
+/// quiet runs that end in a division or a shutdown; the endless run of
+/// a policy that never stops is not listed.
 pub fn expected_idle_multipliers(config: &ClockGenConfig) -> Vec<u64> {
-    let table = crate::segments::SegmentTable::new(config);
-    table.segments().iter().map(|s| s.multiplier).collect()
+    let mut fsm = SamplerFsm::new(config);
+    let mut multipliers = Vec::new();
+    let first_tick = SimTime::ZERO + config.base_sampling_period();
+    fsm.advance_idle_each(first_tick, SimTime::MAX, |seg| {
+        if seg.boundary != IdleBoundary::None {
+            multipliers.push(seg.multiplier);
+        }
+    });
+    multipliers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DivisionPolicy;
 
     /// The Fig. 2 configuration: θ_div = 8, N_div = 3.
     fn fig2_config() -> ClockGenConfig {
@@ -235,6 +245,18 @@ mod tests {
     #[test]
     fn expected_idle_multipliers_match_table() {
         assert_eq!(expected_idle_multipliers(&fig2_config()), vec![1, 2, 4, 8]);
+    }
+
+    /// Each policy's quiet runs: doubling or linear growth up to
+    /// shutdown, a doubling ladder below an endless plateau, or one
+    /// endless run at `T_min`.
+    #[test]
+    fn idle_multipliers_per_policy() {
+        let mults = |policy| expected_idle_multipliers(&fig2_config().with_policy(policy));
+        assert_eq!(mults(DivisionPolicy::Recursive), vec![1, 2, 4, 8]);
+        assert_eq!(mults(DivisionPolicy::Linear), vec![1, 2, 3, 4]);
+        assert_eq!(mults(DivisionPolicy::DivideOnly), vec![1, 2, 4]);
+        assert_eq!(mults(DivisionPolicy::Never), Vec::<u64>::new());
     }
 
     #[test]

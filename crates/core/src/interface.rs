@@ -174,29 +174,20 @@ pub struct InterfaceReport {
 /// Both engines produce **bit-identical** [`InterfaceReport`]s (pinned
 /// by a differential property test); they differ only in wall-clock
 /// cost. The non-default engine exists as the reference model the
-/// fast-forward is continuously tested against — enable the
-/// `per-tick-reference` cargo feature to flip the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// fast-forward is continuously tested against — select it with
+/// [`AerToI2sInterface::with_engine`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimEngine {
     /// Analytic idle fast-forward (the default): when no request, ACK
     /// recovery, wake, or scheduled fault is in flight, the quiet tick
     /// chain up to the next queue event is advanced in O(`N_div`)
     /// closed-form segments instead of one DES event per clock edge,
     /// making simulation cost proportional to *events*, not horizon.
+    #[default]
     EventProportional,
     /// One DES event per sampling-clock edge — the cycle-by-cycle
     /// reference model.
     PerTickReference,
-}
-
-impl Default for SimEngine {
-    fn default() -> Self {
-        if cfg!(feature = "per-tick-reference") {
-            SimEngine::PerTickReference
-        } else {
-            SimEngine::EventProportional
-        }
-    }
 }
 
 /// Scheduled DES events.
@@ -297,25 +288,6 @@ impl AerToI2sInterface {
             &FaultPlan::nominal(0),
             &TelemetryConfig::disabled(),
         )
-    }
-
-    /// Like [`run`](Self::run), over a raw event slice — the
-    /// event-iterator entry point for callers that hold spikes outside
-    /// a [`SpikeTrain`] (e.g. a decoded AEDAT capture).
-    ///
-    /// `spikes` must be sorted by time, the invariant [`SpikeTrain`]
-    /// guarantees structurally; it is debug-asserted here.
-    pub fn run_events(&self, spikes: &[Spike], horizon: SimTime) -> InterfaceReport {
-        Runner::new(
-            &self.config,
-            &self.power_model,
-            spikes,
-            horizon,
-            &FaultPlan::nominal(0),
-            &TelemetryConfig::disabled(),
-            self.engine,
-        )
-        .run()
     }
 
     /// Like [`run`](Self::run), with faults injected per `plan` and
@@ -936,7 +908,7 @@ impl<'a> Runner<'a> {
     /// crossing the synchroniser, no latched address, no ACK recovery,
     /// no wake in progress) and no scheduled fault is due — so every
     /// tick until the next queue event is a pure `on_tick(false)` whose
-    /// trajectory [`SamplerFsm::advance_idle`] computes in closed form.
+    /// trajectory [`SamplerFsm::advance_idle_each`] computes in closed form.
     fn idle_at(&self, t: SimTime) -> bool {
         self.current_request.is_none()
             && self.monitor.sampled_address().is_none()

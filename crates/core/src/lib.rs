@@ -65,7 +65,6 @@ pub mod mcu;
 pub mod quantizer;
 pub mod resources;
 pub mod spi;
-pub mod wave;
 
 pub use aetr_format::{AetrEvent, Timestamp};
 pub use fifo::{AetrFifo, FifoConfig};

@@ -7,7 +7,6 @@ use aetr_aer::handshake::CAVIAR_EVENT_BUDGET;
 use aetr_aer::spike::SpikeTrain;
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
 use aetr_clockgen::engine::SamplingEngine;
-use aetr_clockgen::segments::SegmentTable;
 use aetr_power::model::PowerModel;
 use aetr_sim::time::{SimDuration, SimTime};
 
@@ -107,8 +106,7 @@ fn claim_wake_latency_one_period() {
     // And the wake actually bounds the acquisition delay of the event
     // that caused it.
     let mut engine = SamplingEngine::new(&cfg);
-    let table = SegmentTable::new(&cfg);
-    let request = SimTime::ZERO + table.shutdown_offset().unwrap() + SimDuration::from_ms(1);
+    let request = SimTime::ZERO + cfg.max_measurable().unwrap() + SimDuration::from_ms(1);
     let ev = engine.process(request);
     assert!(ev.woke_clock);
     assert_eq!(ev.detection - ev.request, wake + period);
@@ -146,9 +144,7 @@ fn claim_near_ideal_at_low_rates() {
 #[test]
 fn claim_knobs_set_max_measurable_interval() {
     let t = |theta: u32, n: u32| {
-        SegmentTable::new(&ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n))
-            .max_measurable()
-            .unwrap()
+        ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n).max_measurable().unwrap()
     };
     // Doubling θ_div doubles the range; one more division roughly
     // doubles it too (2^(N+1)-1 factor).

@@ -87,8 +87,7 @@ fn saturation_flags_agree() {
     let train = PoissonGenerator::new(8_000.0, 16, 41).generate(SimTime::from_ms(100));
     let des = AerToI2sInterface::new(cfg).unwrap().run(&train, SimTime::from_ms(100));
     let behav = quantize_train(&clock, &train, SimTime::from_ms(100));
-    let max_ticks =
-        aetr_clockgen::segments::SegmentTable::new(&clock).max_counter().expect("recursive policy");
+    let max_ticks = clock.saturation_ticks().expect("recursive policy");
     let des_sat =
         des.events.iter().filter(|e| e.event.timestamp.ticks() as u64 == max_ticks).count();
     let behav_sat = behav.records.iter().filter(|r| r.saturated).count();
