@@ -163,6 +163,15 @@ impl ClockGenConfig {
     /// the last division, `θ_div·(2^(N_div+1) − 1)` for the recursive
     /// policy. `None` for policies that never stop, whose counter grows
     /// until the [width clamp](ClockGenConfig::counter_max).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aetr_clockgen::config::ClockGenConfig;
+    ///
+    /// // θ=64, N=3: saturation after 64·(1+2+4+8) = 960 T_min ticks.
+    /// assert_eq!(ClockGenConfig::prototype().saturation_ticks(), Some(960));
+    /// ```
     pub fn saturation_ticks(&self) -> Option<u64> {
         let theta = u64::from(self.theta_div);
         let n = u64::from(self.n_div);

@@ -400,6 +400,14 @@ mod tests {
     }
 
     #[test]
+    fn quantize_exact_tick_is_exact() {
+        let delta = base() * 17;
+        let ev = first_event(&proto(), delta);
+        assert_eq!(ev.detection, SimTime::ZERO + delta);
+        assert_eq!(ev.timestamp_ticks, 17);
+    }
+
+    #[test]
     fn quantize_in_divided_segment_has_coarser_grid() {
         // Just past the first division boundary (64 ticks): grid is 2·T.
         let ev = first_event(&proto(), base() * 64 + SimDuration::from_ps(1));

@@ -856,4 +856,58 @@ mod tests {
         }
         fsm.advance_idle_each(SimTime::from_us(1), SimTime::from_us(2), |_| {});
     }
+
+    /// A request just after quiet tick `k − 1` gets the same detecting
+    /// tick and timestamp whether the FSM is stepped tick by tick or
+    /// walked by the cursor up to the request, as the behavioural engine
+    /// does; past shutdown both read the frozen counter on wake.
+    #[test]
+    fn cursor_detects_like_per_tick_sampling() {
+        for policy in [
+            DivisionPolicy::Recursive,
+            DivisionPolicy::DivideOnly,
+            DivisionPolicy::Never,
+            DivisionPolicy::Linear,
+        ] {
+            let config = cfg().with_policy(policy);
+            let first_tick = SimTime::ZERO + config.base_sampling_period();
+            for k in 1..200u64 {
+                // Per tick: k − 1 quiet ticks, then the sampling tick.
+                let mut stepped = SamplerFsm::new(&config);
+                let mut t = SimTime::ZERO;
+                let mut asleep = None;
+                for _ in 1..k {
+                    t += stepped.current_period();
+                    if stepped.on_tick(false) == FsmAction::ShutDown {
+                        asleep = Some((None, stepped.wake()));
+                        break;
+                    }
+                }
+                let request = t + SimDuration::from_ps(1);
+                let expected = asleep.unwrap_or_else(|| {
+                    let tick = t + stepped.current_period();
+                    (Some(tick), sample(&mut stepped))
+                });
+                // Cursor: walk the quiet ticks before the request.
+                let mut walked = SamplerFsm::new(&config);
+                let got = if request <= first_tick {
+                    (Some(first_tick), sample(&mut walked))
+                } else {
+                    match walked.advance_idle_each(first_tick, request, |_| {}) {
+                        Some(tick) => (Some(tick), sample(&mut walked)),
+                        None => (None, walked.wake()),
+                    }
+                };
+                assert_eq!(got, expected, "policy {policy:?}, detection tick {k}");
+            }
+        }
+    }
+
+    /// The timestamp of a sampling tick.
+    fn sample(fsm: &mut SamplerFsm) -> u64 {
+        match fsm.on_tick(true) {
+            FsmAction::Sampled { timestamp_ticks } => timestamp_ticks,
+            other => panic!("expected Sampled, got {other:?}"),
+        }
+    }
 }

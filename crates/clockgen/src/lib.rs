@@ -318,6 +318,21 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
+        /// One request after a reset, at every edge-case delta: the
+        /// engine's event (detection, timestamp, saturation, wake)
+        /// matches per-tick stepping.
+        #[test]
+        fn quantize_matches_per_tick_reference(
+            config in any_config(),
+            kind in 0u8..5,
+            pick in any::<u64>(),
+        ) {
+            let boundaries = division_boundaries(&config);
+            let delta = pick_delta(&boundaries, config.base_sampling_period(), kind, pick);
+            let reference = PerTickEngine::new(&config).process(SimTime::ZERO + delta);
+            prop_assert_eq!(first_event(&config, delta), reference, "delta {}", delta);
+        }
+
         /// The cursor-folding engine emits the same events and, after
         /// `finish`, the same activity report (usage per multiplier, off
         /// time, wakes, saturations) as the per-tick reference.

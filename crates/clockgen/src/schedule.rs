@@ -247,16 +247,44 @@ mod tests {
         assert_eq!(expected_idle_multipliers(&fig2_config()), vec![1, 2, 4, 8]);
     }
 
-    /// Each policy's quiet runs: doubling or linear growth up to
-    /// shutdown, a doubling ladder below an endless plateau, or one
-    /// endless run at `T_min`.
+    /// Multiplier and boundary of each quiet run from a reset up to a
+    /// far barrier.
+    fn idle_runs(config: &ClockGenConfig) -> Vec<(u64, IdleBoundary)> {
+        let base = config.base_sampling_period();
+        let mut runs = Vec::new();
+        SamplerFsm::new(config).advance_idle_each(
+            SimTime::ZERO + base,
+            SimTime::ZERO + base * 10_000,
+            |seg| runs.push((seg.multiplier, seg.boundary)),
+        );
+        runs
+    }
+
+    /// Linear growth, one more `T_min` per division, up to shutdown.
     #[test]
-    fn idle_multipliers_per_policy() {
-        let mults = |policy| expected_idle_multipliers(&fig2_config().with_policy(policy));
-        assert_eq!(mults(DivisionPolicy::Recursive), vec![1, 2, 4, 8]);
-        assert_eq!(mults(DivisionPolicy::Linear), vec![1, 2, 3, 4]);
-        assert_eq!(mults(DivisionPolicy::DivideOnly), vec![1, 2, 4]);
-        assert_eq!(mults(DivisionPolicy::Never), Vec::<u64>::new());
+    fn linear_policy_idle_multipliers() {
+        let config = fig2_config().with_policy(DivisionPolicy::Linear);
+        assert_eq!(expected_idle_multipliers(&config), vec![1, 2, 3, 4]);
+        assert_eq!(idle_runs(&config).last(), Some(&(4, IdleBoundary::ShutDown)));
+        assert_eq!(config.saturation_ticks(), Some(8 * (1 + 2 + 3 + 4)));
+    }
+
+    /// A doubling ladder below an endless plateau at `2^N_div`.
+    #[test]
+    fn divide_only_ladder_ends_in_endless_plateau() {
+        let config = fig2_config().with_policy(DivisionPolicy::DivideOnly);
+        assert_eq!(expected_idle_multipliers(&config), vec![1, 2, 4]);
+        assert_eq!(idle_runs(&config).last(), Some(&(8, IdleBoundary::None)));
+        assert_eq!(config.saturation_ticks(), None);
+    }
+
+    /// One endless run at `T_min`: no division, no shutdown.
+    #[test]
+    fn never_policy_has_no_idle_ladder() {
+        let config = fig2_config().with_policy(DivisionPolicy::Never);
+        assert_eq!(expected_idle_multipliers(&config), Vec::<u64>::new());
+        assert_eq!(idle_runs(&config), vec![(1, IdleBoundary::None)]);
+        assert_eq!(config.saturation_ticks(), None);
     }
 
     #[test]
