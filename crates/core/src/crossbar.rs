@@ -6,13 +6,13 @@
 //! keeps those connections reconfigurable (e.g. a bufferless
 //! front-end→I2S bypass for latency-critical setups).
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Data-producing ports.
+/// Data-producing ports; the discriminant indexes the crossbar's
+/// per-source tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum SourcePort {
     /// The AER→AETR sampling unit output.
@@ -62,8 +62,10 @@ impl Error for SinkConflictError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Crossbar {
-    routes: BTreeMap<SourcePort, SinkPort>,
-    traffic: BTreeMap<SourcePort, u64>,
+    /// Sink of each source, indexed by [`SourcePort`].
+    routes: [Option<SinkPort>; 2],
+    /// Words routed from each source, indexed by [`SourcePort`].
+    traffic: [u64; 2],
 }
 
 impl Crossbar {
@@ -76,15 +78,15 @@ impl Crossbar {
     pub fn new(
         routes: impl IntoIterator<Item = (SourcePort, SinkPort)>,
     ) -> Result<Crossbar, SinkConflictError> {
-        let mut map = BTreeMap::new();
+        let mut table = [None; 2];
         let mut sinks_seen = std::collections::BTreeSet::new();
         for (src, sink) in routes {
             if !sinks_seen.insert(sink) {
                 return Err(SinkConflictError { sink });
             }
-            map.insert(src, sink);
+            table[src as usize] = Some(sink);
         }
-        Ok(Crossbar { routes: map, traffic: BTreeMap::new() })
+        Ok(Crossbar { routes: table, traffic: [0; 2] })
     }
 
     /// The prototype routing: front-end → buffer, buffer → I2S.
@@ -103,21 +105,21 @@ impl Crossbar {
     /// Routes a data word from `source`, returning the configured sink
     /// (`None` if the source is unconnected) and counting the word.
     pub fn route(&mut self, source: SourcePort, _word: u32) -> Option<SinkPort> {
-        let sink = self.routes.get(&source).copied();
+        let sink = self.routes[source as usize];
         if sink.is_some() {
-            *self.traffic.entry(source).or_insert(0) += 1;
+            self.traffic[source as usize] += 1;
         }
         sink
     }
 
     /// The sink a source is routed to.
     pub fn sink_of(&self, source: SourcePort) -> Option<SinkPort> {
-        self.routes.get(&source).copied()
+        self.routes[source as usize]
     }
 
     /// Words routed from a source so far.
     pub fn words_through(&self, source: SourcePort) -> u64 {
-        self.traffic.get(&source).copied().unwrap_or(0)
+        self.traffic[source as usize]
     }
 }
 

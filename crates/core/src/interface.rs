@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use aetr_aer::handshake::{HandshakeLog, HandshakeSender, HandshakeTiming};
 use aetr_aer::spike::{Spike, SpikeTrain};
 use aetr_clockgen::config::{ClockGenConfig, ClockGenConfigError};
-use aetr_clockgen::fsm::{CaptureContext, FsmAction, IdleBoundary, IdleSegment, SamplerFsm};
+use aetr_clockgen::fsm::{CaptureContext, FsmAction, IdleBoundary, SamplerFsm};
 use aetr_faults::{
     FaultInjector, FaultKind, FaultPlan, HealthMonitor, InterfaceHealthReport, WatchdogConfig,
 };
@@ -328,16 +328,7 @@ impl AerToI2sInterface {
         plan: &FaultPlan,
         telemetry: &TelemetryConfig,
     ) -> InterfaceReport {
-        Runner::new(
-            &self.config,
-            &self.power_model,
-            train.as_slice(),
-            horizon,
-            plan,
-            telemetry,
-            self.engine,
-        )
-        .run()
+        self.run_with(train, horizon, plan, telemetry, &[])
     }
 
     /// Like [`run`](Self::run), with SPI register writes applied at
@@ -357,21 +348,31 @@ impl AerToI2sInterface {
         horizon: SimTime,
         writes: &[(SimTime, crate::config_bus::Register, u32)],
     ) -> InterfaceReport {
+        self.run_with(train, horizon, &FaultPlan::nominal(0), &TelemetryConfig::disabled(), writes)
+    }
+
+    /// The general entry point every other `run*` method delegates to:
+    /// faults per `plan`, telemetry per `telemetry` and the SPI
+    /// `writes` of [`run_with_reconfig`](Self::run_with_reconfig), all
+    /// in one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` does not validate or `writes` is not
+    /// time-sorted.
+    pub fn run_with(
+        &self,
+        train: &SpikeTrain,
+        horizon: SimTime,
+        plan: &FaultPlan,
+        telemetry: &TelemetryConfig,
+        writes: &[(SimTime, crate::config_bus::Register, u32)],
+    ) -> InterfaceReport {
         assert!(
             writes.windows(2).all(|w| w[1].0 >= w[0].0),
             "reconfiguration writes must be time-sorted"
         );
-        let mut runner = Runner::new(
-            &self.config,
-            &self.power_model,
-            train.as_slice(),
-            horizon,
-            &FaultPlan::nominal(0),
-            &TelemetryConfig::disabled(),
-            self.engine,
-        );
-        runner.schedule_reconfigs(writes);
-        runner.run()
+        Runner::new(self, train.as_slice(), horizon, plan, telemetry, writes).run()
     }
 }
 
@@ -544,6 +545,37 @@ impl TelState {
         }
     }
 
+    /// Records live samples at every due instant strictly before `t`,
+    /// against a state that holds until `t`: the divider `multiplier`
+    /// (`None` while asleep), `events_total` captures and `fifo_depth`.
+    /// No-op unless a sample is due.
+    fn emit_samples(
+        &mut self,
+        t: SimTime,
+        power_model: &PowerModel,
+        multiplier: Option<u64>,
+        events_total: u64,
+        fifo_depth: u64,
+    ) {
+        let mut due = match self.next_sample {
+            Some(d) if d < t => d,
+            _ => return,
+        };
+        let power_uw = power_model.instantaneous_power(multiplier).as_microwatts();
+        let cadence = self.tel.sample_cadence().expect("sampler is active");
+        while due < t {
+            self.tel.series.record(
+                due,
+                events_total,
+                power_uw,
+                multiplier.unwrap_or(0),
+                fifo_depth,
+            );
+            due += cadence;
+        }
+        self.next_sample = Some(due);
+    }
+
     /// Finalises the collector: closes the last residency interval at
     /// `end`, folds the health counters into the registry under their
     /// shared `interface.health.*` names, and snapshots.
@@ -551,7 +583,7 @@ impl TelState {
         mut self,
         end: SimTime,
         health: &InterfaceHealthReport,
-        queue_ops: u64,
+        queue: &EventQueue<Ev>,
     ) -> TelemetrySnapshot {
         self.tel.spans.record(
             SpanKind::ClockState,
@@ -568,7 +600,7 @@ impl TelState {
             self.tel.lineage = ls.log;
         }
         let sim_events = self.tel.metrics.counter_value(self.events_captured);
-        self.tel.into_snapshot(sim_events, queue_ops)
+        self.tel.into_snapshot(sim_events, queue.ops(), queue.register_pops())
     }
 }
 
@@ -595,7 +627,7 @@ struct Runner<'a> {
     wake_frozen: Option<u64>,
     /// `REQ` rise time of the in-flight request.
     current_request: Option<SimTime>,
-    /// Scheduled SPI register writes (time-indexed by `Ev::SpiWrite`);
+    /// Scheduled SPI register writes (indexed by `Ev::SpiWrite`);
     /// borrowed from the caller — the hot path never copies them.
     reconfigs: &'a [(SimTime, crate::config_bus::Register, u32)],
     /// A drain is in progress (frames chained by `FrameDone`).
@@ -604,9 +636,6 @@ struct Runner<'a> {
 
     /// Tick-chain engine (per-tick reference vs analytic fast-forward).
     engine: SimEngine,
-    /// Reusable segment buffer for the fast-forward path, so a batch
-    /// advance allocates nothing after warm-up.
-    idle_segments: Vec<IdleSegment>,
 
     /// Fault source (inert for an all-zero plan).
     injector: FaultInjector,
@@ -627,24 +656,25 @@ struct Runner<'a> {
 
 impl<'a> Runner<'a> {
     fn new(
-        cfg: &'a InterfaceConfig,
-        power_model: &'a PowerModel,
+        iface: &'a AerToI2sInterface,
         spikes: &'a [Spike],
         horizon: SimTime,
         plan: &FaultPlan,
         telemetry: &TelemetryConfig,
-        engine: SimEngine,
+        reconfigs: &'a [(SimTime, crate::config_bus::Register, u32)],
     ) -> Runner<'a> {
+        let cfg = &iface.config;
         let mut meter = PowerMeter::new(SimTime::ZERO);
         meter.clock_multiplier(SimTime::ZERO, 1);
         Runner {
             cfg,
-            power_model,
+            power_model: &iface.power_model,
             horizon,
             base: cfg.clock.base_sampling_period(),
-            // A handful of events are ever concurrently pending (tick,
-            // REQ, frame drains, watchdog retries); pre-size past that
-            // so the hot loop never reallocates.
+            // A handful of events are ever concurrently pending (REQ,
+            // frame drains, watchdog retries; the tick sits in the
+            // register); pre-size past that so the hot loop never
+            // reallocates.
             queue: EventQueue::with_capacity(16),
             sender: HandshakeSender::over(spikes, cfg.handshake),
             monitor: InputMonitor::new(cfg.front_end),
@@ -661,11 +691,10 @@ impl<'a> Runner<'a> {
             events: Vec::with_capacity(spikes.len()),
             wake_frozen: None,
             current_request: None,
-            reconfigs: &[],
+            reconfigs,
             draining: false,
             wake_count: 0,
-            engine,
-            idle_segments: Vec::new(),
+            engine: iface.engine,
             injector: FaultInjector::new(plan),
             watchdog: plan.watchdog,
             health: HealthMonitor::new(),
@@ -674,9 +703,11 @@ impl<'a> Runner<'a> {
             tel: {
                 let mut tel = TelState::new(telemetry);
                 if let Some(ls) = tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut()) {
-                    // One record per captured spike; reserving up front
-                    // avoids re-copying the wide records on Vec growth.
+                    // One record per captured spike, and the mirror never
+                    // outgrows the FIFO; reserving both up front avoids
+                    // regrowing them on the hot path.
                     ls.log.reserve(spikes.len());
+                    ls.fifo_mirror.reserve(cfg.fifo.capacity_events());
                 }
                 tel
             },
@@ -684,10 +715,12 @@ impl<'a> Runner<'a> {
     }
 
     fn run(mut self) -> InterfaceReport {
-        // Prime the pump: first clock tick and first request.
-        self.queue
-            .schedule_at(SimTime::ZERO + self.base, Ev::Tick)
-            .expect("fresh queue accepts the first tick");
+        // Prime the pump: the SPI writes, the first clock tick and the
+        // first request.
+        for (i, &(t, _, _)) in self.reconfigs.iter().enumerate() {
+            self.queue.schedule_at(t, Ev::SpiWrite(i)).expect("fresh queue, sorted writes");
+        }
+        self.schedule_tick(SimTime::ZERO + self.base);
         self.schedule_next_request();
 
         while let Some((t, ev)) = self.queue.pop() {
@@ -702,7 +735,7 @@ impl<'a> Runner<'a> {
                 Ev::Tick => self.on_tick(t),
                 Ev::WakeDone => self.on_wake_done(t),
                 Ev::FrameDone => self.drain_step(t),
-                Ev::SpiWrite(index) => self.on_spi_write(t, index),
+                Ev::SpiWrite(index) => self.on_spi_write(index),
                 Ev::AckRetry(attempt) => self.on_ack_retry(t, attempt),
                 Ev::WakeCheck(attempt) => self.on_wake_check(t, attempt),
             }
@@ -728,13 +761,7 @@ impl<'a> Runner<'a> {
             let second = self.fifo.pop();
             let pair = 1 + u64::from(second.is_some());
             t = self.i2s.send_pair(t, first, second).expect("sequential drain cannot overlap");
-            let slipped = self.maybe_slip_frame();
-            if let Some(ts) = self.tel.as_deref_mut() {
-                ts.tel.metrics.inc(ts.i2s_frames, 1);
-                ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, t, Some(pair));
-                ts.tel.metrics.set_gauge(ts.fifo_occupancy, self.fifo.len() as f64);
-                ts.record_transmission(pair, start, t, slipped);
-            }
+            self.finish_frame(pair, start, t);
         }
 
         let end = self.horizon.max(self.queue.now()).max(t);
@@ -742,7 +769,7 @@ impl<'a> Runner<'a> {
         let power = self.power_model.evaluate(&activity);
         let health = self.health.report();
         let telemetry = match self.tel.take() {
-            Some(ts) => ts.finish(end, &health, self.queue.ops()),
+            Some(ts) => ts.finish(end, &health, &self.queue),
             None => TelemetrySnapshot::empty(),
         };
         InterfaceReport {
@@ -766,43 +793,13 @@ impl<'a> Runner<'a> {
     /// FIFO depth) is constant over `(previous event, t)`, so each due
     /// point gets exact values without scheduling anything.
     fn sample_until(&mut self, t: SimTime) {
-        if self.tel.is_none() {
-            return;
-        }
+        let Some(ts) = self.tel.as_deref_mut() else { return };
         let multiplier = if self.fsm.is_asleep() { None } else { Some(self.fsm.multiplier()) };
-        self.emit_samples(t, multiplier);
+        let (events_total, fifo_depth) = (self.events.len() as u64, self.fifo.len() as u64);
+        ts.emit_samples(t, self.power_model, multiplier, events_total, fifo_depth);
     }
 
-    /// [`sample_until`](Runner::sample_until) against an explicit
-    /// divider multiplier — the fast-forward path calls this once per
-    /// idle segment, with the multiplier that was in force over it, so
-    /// batched runs record the exact series per-tick stepping would.
-    fn emit_samples(&mut self, t: SimTime, multiplier: Option<u64>) {
-        let due = match self.tel.as_deref().and_then(|ts| ts.next_sample) {
-            Some(d) if d < t => d,
-            _ => return,
-        };
-        let power_uw = self.power_model.instantaneous_power(multiplier).as_microwatts();
-        let events_total = self.events.len() as u64;
-        let fifo_depth = self.fifo.len() as u64;
-        let ts = self.tel.as_deref_mut().expect("checked above");
-        let cadence = ts.tel.sample_cadence().expect("sampler is active");
-        let mut due = due;
-        while due < t {
-            ts.tel.series.record(due, events_total, power_uw, multiplier.unwrap_or(0), fifo_depth);
-            due += cadence;
-        }
-        ts.next_sample = Some(due);
-    }
-
-    fn schedule_reconfigs(&mut self, writes: &'a [(SimTime, crate::config_bus::Register, u32)]) {
-        self.reconfigs = writes;
-        for (i, &(t, _, _)) in writes.iter().enumerate() {
-            self.queue.schedule_at(t, Ev::SpiWrite(i)).expect("fresh queue, sorted writes");
-        }
-    }
-
-    fn on_spi_write(&mut self, t: SimTime, index: usize) {
+    fn on_spi_write(&mut self, index: usize) {
         let (_, register, value) = self.reconfigs[index];
         if self.regs.write(register, value).is_ok() {
             let new_clock = self.regs.apply_to(&self.cfg.clock);
@@ -814,11 +811,10 @@ impl<'a> Runner<'a> {
                 new_clock
             };
             if new_clock.validate().is_ok() {
-                self.fsm.reconfigure(&new_clock);
                 // If the FSM is awake, the current tick chain continues
                 // with the new parameters from its next edge; if it is
                 // asleep, the next wake re-enters at T_min as before.
-                let _ = t;
+                self.fsm.reconfigure(&new_clock);
             }
         }
     }
@@ -900,7 +896,7 @@ impl<'a> Runner<'a> {
         let frozen = self.fsm.wake();
         debug_assert_eq!(Some(frozen), self.wake_frozen);
         // First tick one base period after the oscillator stabilises.
-        self.queue.schedule_at(t + self.base, Ev::Tick).expect("tick after wake is future");
+        self.schedule_tick(t + self.base);
     }
 
     /// `true` when the tick popped at `t` begins a provably quiet
@@ -919,7 +915,7 @@ impl<'a> Runner<'a> {
 
     /// Jumps the quiet tick chain from the popped tick at `t` to the
     /// next interesting instant, replaying the side effects of the
-    /// skipped ticks segment-wise.
+    /// skipped ticks segment-wise as the cursor hands them over.
     ///
     /// The barrier is the earliest of: the next queue event (while
     /// input remains, the pending `ReqRise` bounds it), the next
@@ -930,9 +926,9 @@ impl<'a> Runner<'a> {
     /// this chain's own ticks, and quiet ticks schedule nothing but
     /// their successor (a shutdown with no latched request schedules no
     /// wake), so batching them cannot reorder anything: the resumed
-    /// tick is scheduled now, which gives it a later sequence number
-    /// than everything already queued — the same tie-break per-tick
-    /// stepping produces at a shared instant.
+    /// tick goes to the register now, which stamps it with a later
+    /// sequence number than everything already queued — the same
+    /// tie-break per-tick stepping produces at a shared instant.
     fn fast_forward(&mut self, t: SimTime) {
         let mut barrier = self.queue.peek_time().unwrap_or(SimTime::MAX);
         if let Some(due) = self.injector.next_scheduled_at() {
@@ -941,41 +937,47 @@ impl<'a> Runner<'a> {
         if self.sender.is_done() {
             barrier = barrier.min(self.horizon);
         }
-        let mut segments = std::mem::take(&mut self.idle_segments);
-        let next_tick = self.fsm.advance_idle_into(t, barrier, &mut segments);
-        for seg in &segments {
-            match seg.boundary {
-                IdleBoundary::None => {
-                    // Samples due past the last tick are emitted by the
-                    // next event's `sample_until` — the FSM already
-                    // carries this segment's multiplier.
-                }
+        // Captures and FIFO depth are constant over a quiet stretch.
+        let (events_total, fifo_depth) = (self.events.len() as u64, self.fifo.len() as u64);
+        let (meter, queue, power_model) = (&mut self.meter, &mut self.queue, self.power_model);
+        let mut tel = self.tel.as_deref_mut();
+        let next_tick = self.fsm.advance_idle_each(t, barrier, |seg| {
+            // Only boundary ticks act; samples due past the last tick
+            // of a plain run are emitted by the next event's
+            // `sample_until`, against the multiplier the FSM still has.
+            let divided = match seg.boundary {
+                IdleBoundary::None => return,
                 IdleBoundary::Divided { multiplier } => {
-                    self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.meter.clock_multiplier(seg.last_tick, multiplier);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.divisions, 1);
-                        ts.clock_transition(seg.last_tick, "divided", Some(multiplier));
-                    }
+                    meter.clock_multiplier(seg.last_tick, multiplier);
+                    Some(multiplier)
                 }
                 IdleBoundary::ShutDown => {
-                    self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.meter.clock_off(seg.last_tick);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.shutdowns, 1);
-                        ts.clock_transition(seg.last_tick, "sleep", None);
-                    }
+                    meter.clock_off(seg.last_tick);
                     // Per-tick stepping would have popped this shutdown
                     // tick, leaving the clock there; the end-of-run
                     // bookkeeping (FIFO drain start, power horizon)
                     // reads it.
-                    self.queue.advance_to(seg.last_tick);
+                    queue.advance_to(seg.last_tick);
+                    None
+                }
+            };
+            if let Some(ts) = &mut tel {
+                let at = seg.last_tick;
+                ts.emit_samples(at, power_model, Some(seg.multiplier), events_total, fifo_depth);
+                match divided {
+                    Some(m) => {
+                        ts.tel.metrics.inc(ts.divisions, 1);
+                        ts.clock_transition(at, "divided", Some(m));
+                    }
+                    None => {
+                        ts.tel.metrics.inc(ts.shutdowns, 1);
+                        ts.clock_transition(at, "sleep", None);
+                    }
                 }
             }
-        }
-        self.idle_segments = segments;
+        });
         if let Some(next) = next_tick {
-            self.queue.schedule_at(next, Ev::Tick).expect("resumed tick is not in the past");
+            self.schedule_tick(next);
         }
     }
 
@@ -993,18 +995,7 @@ impl<'a> Runner<'a> {
                 FaultKind::StuckOscillator => {
                     self.health.oscillator_stall();
                     self.fsm.force_shutdown();
-                    self.meter.clock_off(t);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.shutdowns, 1);
-                        ts.clock_transition(t, "sleep", None);
-                    }
-                    // A latched REQ holds the wake input, so recovery
-                    // starts immediately — unless an unresolved ACK is
-                    // keeping REQ high, in which case the next fresh
-                    // request restarts the clock.
-                    if self.monitor.sampled_address().is_some() && self.pending_ack.is_none() {
-                        self.schedule_wake(t);
-                    }
+                    self.clock_stopped(t);
                     return;
                 }
             }
@@ -1042,25 +1033,35 @@ impl<'a> Runner<'a> {
                 }
             }
             FsmAction::ShutDown => {
-                self.meter.clock_off(t);
-                if let Some(ts) = self.tel.as_deref_mut() {
-                    ts.tel.metrics.inc(ts.shutdowns, 1);
-                    ts.clock_transition(t, "sleep", None);
-                }
-                // If REQ is already high (request still crossing the
-                // synchroniser), it holds the ring oscillator's wake
-                // input: the clock restarts immediately, and the event
-                // gets the frozen (saturated) timestamp.
-                if self.monitor.sampled_address().is_some() && self.pending_ack.is_none() {
-                    self.schedule_wake(t);
-                }
+                self.clock_stopped(t);
                 return; // no further ticks until the wake
             }
             FsmAction::Ticked => {}
         }
-        self.queue
-            .schedule_after(self.fsm.current_period(), Ev::Tick)
-            .expect("tick period is positive");
+        self.schedule_tick(t + self.fsm.current_period());
+    }
+
+    /// Schedules the next sampling-clock edge. It goes to the queue's
+    /// register: the tick chain keeps at most one edge pending.
+    fn schedule_tick(&mut self, at: SimTime) {
+        self.queue.schedule_register_at(at, Ev::Tick).expect("the tick chain runs forwards");
+    }
+
+    /// The clock stopped at `t` (shutdown or stall). If REQ is already
+    /// high (a request still crossing the synchroniser), it holds the
+    /// ring oscillator's wake input: the clock restarts immediately and
+    /// the event gets the frozen (saturated) timestamp — unless an
+    /// unresolved ACK keeps REQ high, in which case the next fresh
+    /// request restarts the clock.
+    fn clock_stopped(&mut self, t: SimTime) {
+        self.meter.clock_off(t);
+        if let Some(ts) = self.tel.as_deref_mut() {
+            ts.tel.metrics.inc(ts.shutdowns, 1);
+            ts.clock_transition(t, "sleep", None);
+        }
+        if self.monitor.sampled_address().is_some() && self.pending_ack.is_none() {
+            self.schedule_wake(t);
+        }
     }
 
     fn capture_event(&mut self, t: SimTime, ticks: u64, woke: bool, ctx: CaptureContext) {
@@ -1372,17 +1373,23 @@ impl<'a> Runner<'a> {
         self.fsm.reconfigure(&self.cfg.clock.degraded_fallback(self.watchdog.degraded_n_div_clamp));
     }
 
-    /// Applies an injected receiver-side frame slip to the most recent
-    /// I2S frame; `true` when a frame was actually dropped (the lineage
-    /// layer marks its events lost instead of delivered).
-    fn maybe_slip_frame(&mut self) -> bool {
+    /// Records the `pair`-event I2S frame sent over `[start, done]`,
+    /// after applying an injected receiver-side frame slip to it (the
+    /// lineage layer then marks its events lost instead of delivered).
+    fn finish_frame(&mut self, pair: u64, start: SimTime, done: SimTime) {
+        let mut slipped = false;
         if self.injector.slip_frame() {
             if let Some(frame) = self.i2s.drop_last_frame() {
                 self.health.frame_slip(frame.events().count() as u64);
-                return true;
+                slipped = true;
             }
         }
-        false
+        if let Some(ts) = self.tel.as_deref_mut() {
+            ts.tel.metrics.inc(ts.i2s_frames, 1);
+            ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, done, Some(pair));
+            ts.tel.metrics.set_gauge(ts.fifo_occupancy, self.fifo.len() as f64);
+            ts.record_transmission(pair, start, done, slipped);
+        }
     }
 
     fn drain_step(&mut self, t: SimTime) {
@@ -1398,14 +1405,7 @@ impl<'a> Runner<'a> {
             self.crossbar.route(SourcePort::BufferOut, s.to_word());
         }
         let done = self.i2s.send_pair(start, first, second).expect("drain respects busy_until");
-        let slipped = self.maybe_slip_frame();
-        if let Some(ts) = self.tel.as_deref_mut() {
-            let pair = 1 + u64::from(second.is_some());
-            ts.tel.metrics.inc(ts.i2s_frames, 1);
-            ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, done, Some(pair));
-            ts.tel.metrics.set_gauge(ts.fifo_occupancy, self.fifo.len() as f64);
-            ts.record_transmission(pair, start, done, slipped);
-        }
+        self.finish_frame(1 + u64::from(second.is_some()), start, done);
         self.regs.set_status(self.fifo.len() as u32);
         self.queue.schedule_at(done, Ev::FrameDone).expect("frame completes in the future");
     }
@@ -1585,7 +1585,7 @@ mod tests {
     /// armed — and asserts the reports are bit-identical (the
     /// wall-clock profile, excluded from `TelemetrySnapshot` equality,
     /// is the only thing allowed to differ). Returns both profiles'
-    /// queue-op counts `(fast_forward, per_tick)`.
+    /// sampling-clock edge counts `(fast_forward, per_tick)`.
     fn engines_agree(
         cfg: InterfaceConfig,
         train: &SpikeTrain,
@@ -1608,23 +1608,23 @@ mod tests {
             .with_engine(SimEngine::PerTickReference)
             .run_with_telemetry(train, horizon, plan, &tel);
         assert_eq!(fast, reference);
-        let ops = |r: &InterfaceReport| r.telemetry.profile.as_ref().map_or(0, |p| p.queue_ops);
-        (ops(&fast), ops(&reference))
+        let edges = |r: &InterfaceReport| r.telemetry.profile.as_ref().map_or(0, |p| p.clock_edges);
+        (edges(&fast), edges(&reference))
     }
 
     #[test]
     fn fast_forward_is_bit_identical_and_event_proportional_on_sparse_input() {
         let train =
             RegularGenerator::new(SimDuration::from_ms(10), 4).generate(SimTime::from_ms(95));
-        let (fast_ops, ref_ops) = engines_agree(
+        let (fast_edges, ref_edges) = engines_agree(
             InterfaceConfig::prototype(),
             &train,
             SimTime::from_ms(100),
             &aetr_faults::FaultPlan::nominal(0),
         );
         assert!(
-            fast_ops * 10 < ref_ops,
-            "idle-heavy run should need >10x fewer queue ops: {fast_ops} vs {ref_ops}"
+            fast_edges * 10 < ref_edges,
+            "idle-heavy run should pop >10x fewer clock edges: {fast_edges} vs {ref_edges}"
         );
     }
 

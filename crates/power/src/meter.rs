@@ -70,6 +70,11 @@ impl PowerMeter {
     /// Records a clock (re)configuration to period multiplier
     /// `multiplier` at time `now`.
     ///
+    /// Re-announcing the multiplier already in force is a no-op: the
+    /// open interval simply continues, and because the residency sums
+    /// are integer, [`finish`](Self::finish) returns the same activity
+    /// as if the interval had been split here.
+    ///
     /// # Panics
     ///
     /// Panics if `multiplier` is zero or `now` precedes an earlier
@@ -77,6 +82,9 @@ impl PowerMeter {
     pub fn clock_multiplier(&mut self, now: SimTime, multiplier: u64) {
         assert!(multiplier > 0, "multiplier must be non-zero");
         assert!(now >= self.last_change, "meter notified out of order");
+        if self.state == ClockState::Active(multiplier) {
+            return;
+        }
         self.accrue(now);
         self.state = ClockState::Active(multiplier);
     }
@@ -112,12 +120,6 @@ impl PowerMeter {
         assert!(horizon >= self.last_change, "meter finished before its last notification");
         self.accrue(horizon);
         self.activity
-    }
-
-    /// Peek at the activity accumulated so far (not including the open
-    /// interval since the last notification).
-    pub fn activity(&self) -> &ActivityInput {
-        &self.activity
     }
 }
 
@@ -165,6 +167,29 @@ mod tests {
         let activity = meter.finish(SimTime::from_us(3));
         assert_eq!(activity.active, vec![(1, SimDuration::from_us(2))]);
         assert_eq!(activity.off, SimDuration::from_us(1));
+    }
+
+    #[test]
+    fn repeating_the_multiplier_in_force_changes_nothing() {
+        let run = |repeat: bool| {
+            let mut meter = PowerMeter::new(SimTime::ZERO);
+            meter.clock_multiplier(SimTime::ZERO, 1);
+            if repeat {
+                meter.clock_multiplier(SimTime::from_us(3), 1);
+            }
+            meter.clock_multiplier(SimTime::from_us(5), 2);
+            if repeat {
+                meter.clock_multiplier(SimTime::from_us(7), 2);
+                meter.clock_multiplier(SimTime::from_us(7), 2);
+            }
+            meter.clock_off(SimTime::from_us(9));
+            meter.finish(SimTime::from_us(10))
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(
+            run(true).active,
+            vec![(1, SimDuration::from_us(5)), (2, SimDuration::from_us(4))]
+        );
     }
 
     #[test]

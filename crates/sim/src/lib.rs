@@ -165,6 +165,67 @@ mod proptests {
             prop_assert_eq!(drained, remaining);
         }
 
+        /// A queue plus its register pops exactly what one plain queue
+        /// holding every event pops, under random interleavings of
+        /// `schedule_at`, `schedule_after`, register schedules, `pop`,
+        /// `peek_time` and `advance_to`: identical pop streams, `now`
+        /// and `len` at every step, and the plain queue's op count split
+        /// into real ops, register schedules and register pops. Delays
+        /// of 0–3 ps make same-instant ties the common case.
+        #[test]
+        fn register_matches_single_queue(
+            ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..400),
+        ) {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut plain: EventQueue<u64> = EventQueue::new();
+            // The register's event, while pending; `id` numbers events.
+            let (mut in_register, mut id, mut register_schedules) = (None, 0u64, 0u64);
+            for &(sel, param) in &ops {
+                let delay = SimDuration::from_ps(param % 4);
+                let now = q.now();
+                match sel {
+                    0 | 1 => {
+                        prop_assert_eq!(q.schedule_at(now + delay, id), Ok(()));
+                        plain.schedule_at(now + delay, id).unwrap();
+                        id += 1;
+                    }
+                    2 => {
+                        prop_assert_eq!(q.schedule_after(delay, id), Ok(()));
+                        plain.schedule_after(delay, id).unwrap();
+                        id += 1;
+                    }
+                    // A register schedule when it is free.
+                    3 | 4 if in_register.is_none() => {
+                        prop_assert_eq!(q.schedule_register_at(now + delay, id), Ok(()));
+                        plain.schedule_at(now + delay, id).unwrap();
+                        in_register = Some(id);
+                        register_schedules += 1;
+                        id += 1;
+                    }
+                    3..=6 => {
+                        let got = q.pop();
+                        prop_assert_eq!(got, plain.pop());
+                        if got.is_some_and(|(_, ev)| Some(ev) == in_register) {
+                            in_register = None;
+                        }
+                    }
+                    7 => prop_assert_eq!(q.peek_time(), plain.peek_time()),
+                    // Advance no further than the next pending event.
+                    _ => {
+                        let to = (now + delay).min(plain.peek_time().unwrap_or(SimTime::MAX));
+                        q.advance_to(to);
+                        plain.advance_to(to);
+                    }
+                }
+                prop_assert_eq!(q.now(), plain.now());
+                prop_assert_eq!(q.len(), plain.len());
+                prop_assert_eq!(q.ops() + register_schedules + q.register_pops(), plain.ops());
+            }
+            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+            let remaining: Vec<(SimTime, u64)> = std::iter::from_fn(|| plain.pop()).collect();
+            prop_assert_eq!(drained, remaining);
+        }
+
         /// Duration arithmetic: (a + b) - b == a for non-overflowing pairs.
         #[test]
         fn duration_add_sub_roundtrip(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {

@@ -13,10 +13,23 @@
 //! [`peek_time`](EventQueue::peek_time) scan for the minimum
 //! `(time, seq)`, and `pop` removes it with `swap_remove`. Scheduling is
 //! O(1) and popping is O(pending). The AETR interface keeps at most
-//! three events pending (the next tick, the next request and the frame
-//! in flight), and at that depth a short linear scan beats any heap.
-//! A caller that keeps thousands of events pending should use a heap
+//! two events pending in the `Vec` (the next request and the frame in
+//! flight), and at that depth a short linear scan beats any heap. A
+//! caller that keeps thousands of events pending should use a heap
 //! instead.
+//!
+//! # The register
+//!
+//! A self-rescheduling event — a clock edge that schedules its own
+//! successor — is pending on every step of the simulation. Instead of
+//! cycling it through the `Vec`, the queue holds it in a one-entry
+//! register ([`schedule_register_at`](EventQueue::schedule_register_at)).
+//! The register takes its sequence number from the same counter, and
+//! `pop` merges it with the scan by the same `(time, seq)` key, so the
+//! pop order is exactly that of one queue holding every event. Register
+//! schedules and pops are not counted in [`ops`](EventQueue::ops);
+//! register pops are counted in
+//! [`register_pops`](EventQueue::register_pops).
 
 use std::error::Error;
 use std::fmt;
@@ -78,9 +91,12 @@ struct Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     pending: Vec<Entry<E>>,
+    /// The one self-rescheduling event, kept out of `pending`.
+    register: Option<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     ops: u64,
+    register_pops: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -100,19 +116,26 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             pending: Vec::with_capacity(capacity),
+            register: None,
             now: SimTime::ZERO,
             next_seq: 0,
             ops: 0,
+            register_pops: 0,
         }
     }
 
     /// Lifetime count of queue operations: successful schedules plus
-    /// pops that returned an event.
+    /// pops that returned an event, the register's excluded.
     ///
     /// This is the denominator for the telemetry profiling hook "queue
     /// ops per wall-clock second"; it is monotone.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Lifetime count of events popped from the register.
+    pub fn register_pops(&self) -> u64 {
+        self.register_pops
     }
 
     /// Current simulation time: the activation time of the most recently
@@ -121,14 +144,15 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of scheduled events not yet popped.
+    /// Number of scheduled events not yet popped, the register's
+    /// included.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + usize::from(self.register.is_some())
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.pending.is_empty() && self.register.is_none()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -168,21 +192,62 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event)
     }
 
-    /// Pops the earliest event (schedule order breaks ties), advancing
-    /// the simulation clock to its activation time.
+    /// Schedules `event` at absolute time `at` in the register, the
+    /// one slot for a self-rescheduling event.
+    ///
+    /// It takes the next sequence number exactly as
+    /// [`schedule_at`](Self::schedule_at) would, so it pops where the
+    /// same call to `schedule_at` would have put it. It is not an op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedulePastError`] if `at` is earlier than
+    /// [`now`](Self::now).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register already holds an event.
+    pub fn schedule_register_at(&mut self, at: SimTime, event: E) -> Result<(), SchedulePastError> {
+        if at < self.now {
+            return Err(SchedulePastError { now: self.now, requested: at });
+        }
+        assert!(self.register.is_none(), "the event-queue register is already occupied");
+        self.register = Some(Entry { time: at, seq: self.next_seq, event });
+        self.next_seq += 1;
+        Ok(())
+    }
+
+    /// Pops the earliest event, register included (schedule order
+    /// breaks ties), advancing the simulation clock to its activation
+    /// time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let next =
-            self.pending.iter().enumerate().min_by_key(|(_, e)| (e.time, e.seq)).map(|(i, _)| i)?;
-        let Entry { time, event, .. } = self.pending.swap_remove(next);
+        let next = self
+            .pending
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.time, e.seq, i))
+            .min_by_key(|&(time, seq, _)| (time, seq));
+        let from_register = match (&self.register, next) {
+            (Some(r), Some((time, seq, _))) => (r.time, r.seq) < (time, seq),
+            (register, _) => register.is_some(),
+        };
+        let Entry { time, event, .. } = if from_register {
+            self.register_pops += 1;
+            self.register.take().expect("checked occupied")
+        } else {
+            let (_, _, i) = next?;
+            self.ops += 1;
+            self.pending.swap_remove(i)
+        };
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
-        self.ops += 1;
         Some((time, event))
     }
 
-    /// Activation time of the next event without popping it.
+    /// Activation time of the next event, register included, without
+    /// popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.iter().map(|e| e.time).min()
+        self.pending.iter().chain(&self.register).map(|e| e.time).min()
     }
 
     /// Advances the clock to `t` without popping anything.
@@ -346,6 +411,62 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_ns(50), "ev")));
         // The clock really moved: the past is now rejected.
         assert!(q.schedule_at(SimTime::from_ns(40), "late").is_err());
+    }
+
+    #[test]
+    fn register_ties_with_the_queue_in_schedule_order() {
+        let t = SimTime::from_ns(5);
+        // Register scheduled first: it pops first.
+        let mut q = EventQueue::new();
+        q.schedule_register_at(t, "edge").unwrap();
+        q.schedule_at(t, "req").unwrap();
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, "edge")));
+        assert_eq!(q.pop(), Some((t, "req")));
+        // Queue scheduled first: it pops first.
+        let mut q = EventQueue::new();
+        q.schedule_at(t, "req").unwrap();
+        q.schedule_register_at(t, "edge").unwrap();
+        assert_eq!(q.pop(), Some((t, "req")));
+        assert_eq!(q.pop(), Some((t, "edge")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn register_on_an_empty_queue() {
+        let mut q = EventQueue::new();
+        q.schedule_register_at(SimTime::from_ns(8), "edge").unwrap();
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(8)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(8), "edge")));
+        assert_eq!(q.now(), SimTime::from_ns(8), "a register pop advances the clock");
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        // The register is free again, and rejects the past.
+        assert!(q.schedule_register_at(SimTime::from_ns(7), "late").is_err());
+        q.schedule_register_at(SimTime::from_ns(8), "delta").unwrap();
+        assert_eq!(q.pop(), Some((SimTime::from_ns(8), "delta")));
+    }
+
+    #[test]
+    #[should_panic(expected = "register is already occupied")]
+    fn second_register_schedule_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_register_at(SimTime::from_ns(1), ()).unwrap();
+        let _ = q.schedule_register_at(SimTime::from_ns(2), ());
+    }
+
+    #[test]
+    fn register_operations_are_not_ops() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ns(3), "req").unwrap();
+        q.schedule_register_at(SimTime::from_ns(1), "edge").unwrap();
+        assert_eq!(q.ops(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), "edge")));
+        assert_eq!((q.ops(), q.register_pops()), (1, 1));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(3), "req")));
+        assert_eq!((q.ops(), q.register_pops()), (2, 1));
     }
 
     #[test]

@@ -160,13 +160,18 @@ impl Telemetry {
 
     /// Finalises the collector into an immutable snapshot.
     ///
-    /// `sim_events` and `queue_ops` feed the wall-clock profile; a
-    /// disabled collector yields [`TelemetrySnapshot::empty`].
-    pub fn into_snapshot(self, sim_events: u64, queue_ops: u64) -> TelemetrySnapshot {
+    /// `sim_events`, `queue_ops` and `clock_edges` feed the wall-clock
+    /// profile; a disabled collector yields [`TelemetrySnapshot::empty`].
+    pub fn into_snapshot(
+        self,
+        sim_events: u64,
+        queue_ops: u64,
+        clock_edges: u64,
+    ) -> TelemetrySnapshot {
         if !self.config.enabled {
             return TelemetrySnapshot::empty();
         }
-        let profile = self.profiler.as_ref().map(|p| p.finish(sim_events, queue_ops));
+        let profile = self.profiler.as_ref().map(|p| p.finish(sim_events, queue_ops, clock_edges));
         TelemetrySnapshot {
             enabled: true,
             metrics: self.metrics,
@@ -394,7 +399,7 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         assert_eq!(tel.sample_cadence(), None);
-        let snap = tel.into_snapshot(10, 20);
+        let snap = tel.into_snapshot(10, 20, 0);
         assert!(snap.is_empty());
         assert!(snap.profile.is_none());
         assert_eq!(snap, TelemetrySnapshot::empty());
@@ -408,8 +413,8 @@ mod tests {
             let c = tel.metrics.counter("interface.events.captured");
             tel.metrics.inc(c, 5);
         }
-        let sa = a.into_snapshot(5, 9);
-        let sb = b.into_snapshot(5, 9);
+        let sa = a.into_snapshot(5, 9, 0);
+        let sb = b.into_snapshot(5, 9, 0);
         assert!(sa.profile.is_some());
         // Wall-clock numbers differ between the two runs, yet the
         // snapshots compare equal.
@@ -433,7 +438,7 @@ mod tests {
             None,
         );
         tel.series.record(SimTime::from_us(10), 3, 1.5, 1, 0);
-        let snap = tel.into_snapshot(3, 12);
+        let snap = tel.into_snapshot(3, 12, 0);
 
         let text = snap.to_json().to_string();
         let parsed = json::parse(&text).expect("valid json");
@@ -456,7 +461,7 @@ mod tests {
         let h = tel.metrics.histogram("interface.fifo.depth", vec![1.0, 8.0]);
         tel.metrics.observe(h, 0.5);
         tel.metrics.observe(h, 100.0);
-        let text = tel.into_snapshot(0, 0).to_prometheus();
+        let text = tel.into_snapshot(0, 0, 0).to_prometheus();
         assert!(text.contains("# TYPE interface_clockgen_divisions counter"));
         assert!(text.contains("interface_clockgen_divisions 7"));
         assert!(text.contains("interface_fifo_depth_bucket{le=\"1\"} 1"));

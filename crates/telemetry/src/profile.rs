@@ -26,13 +26,14 @@ impl Profiler {
     }
 
     /// Stops timing and folds in the work counters.
-    pub fn finish(&self, sim_events: u64, queue_ops: u64) -> WallClockProfile {
+    pub fn finish(&self, sim_events: u64, queue_ops: u64, clock_edges: u64) -> WallClockProfile {
         let elapsed_secs = self.started.elapsed().as_secs_f64();
         let per_sec = |n: u64| if elapsed_secs > 0.0 { n as f64 / elapsed_secs } else { 0.0 };
         WallClockProfile {
             elapsed_secs,
             sim_events,
             queue_ops,
+            clock_edges,
             events_per_sec: per_sec(sim_events),
             queue_ops_per_sec: per_sec(queue_ops),
         }
@@ -46,8 +47,13 @@ pub struct WallClockProfile {
     pub elapsed_secs: f64,
     /// Simulated events processed (AER events captured).
     pub sim_events: u64,
-    /// Event-queue operations performed (schedules + pops).
+    /// Event-queue operations performed (schedules + pops), the
+    /// sampling-clock edges excluded.
     pub queue_ops: u64,
+    /// Sampling-clock edges processed: pops of the event queue's
+    /// register. The per-tick engine pops one per edge; the
+    /// fast-forward engine skips quiet stretches.
+    pub clock_edges: u64,
     /// Simulated events per wall-clock second.
     pub events_per_sec: f64,
     /// Queue operations per wall-clock second.
@@ -61,6 +67,7 @@ impl WallClockProfile {
             ("elapsed_secs", Json::from(self.elapsed_secs)),
             ("sim_events", Json::from(self.sim_events)),
             ("queue_ops", Json::from(self.queue_ops)),
+            ("clock_edges", Json::from(self.clock_edges)),
             ("events_per_sec", Json::from(self.events_per_sec)),
             ("queue_ops_per_sec", Json::from(self.queue_ops_per_sec)),
         ])
@@ -74,9 +81,10 @@ mod tests {
     #[test]
     fn finish_computes_rates() {
         let p = Profiler::start();
-        let profile = p.finish(1000, 5000);
+        let profile = p.finish(1000, 5000, 700);
         assert_eq!(profile.sim_events, 1000);
         assert_eq!(profile.queue_ops, 5000);
+        assert_eq!(profile.clock_edges, 700);
         assert!(profile.elapsed_secs >= 0.0);
         if profile.elapsed_secs > 0.0 {
             assert!(profile.events_per_sec > 0.0);
