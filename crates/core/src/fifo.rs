@@ -7,18 +7,10 @@
 //!
 //! # Depth vocabulary
 //!
-//! The two FIFO models in this crate ([`AetrFifo`] here and
-//! [`CdcFifo`](crate::cdc_fifo::CdcFifo)) share one definition so
-//! reports and telemetry are comparable:
-//!
 //! * **capacity** — the configured maximum number of entries
-//!   ([`FifoConfig::capacity_events`]; `CdcFifoConfig::depth`);
+//!   ([`FifoConfig::capacity_events`]);
 //! * **occupancy** (= "depth" in a snapshot) — the number of entries
-//!   *actually buffered right now*: [`AetrFifo::len`] /
-//!   [`CdcFifo::true_occupancy`](crate::cdc_fifo::CdcFifo::true_occupancy).
-//!   The CDC model additionally exposes per-domain *views* of
-//!   occupancy that are deliberately stale; those are never what
-//!   "depth" means.
+//!   buffered right now ([`AetrFifo::len`]).
 //!
 //! Everything derived follows the same rule: telemetry's
 //! `interface.fifo.occupancy` gauge and `interface.fifo.depth`

@@ -53,7 +53,6 @@
 
 pub mod aetr_format;
 pub mod campaign;
-pub mod cdc_fifo;
 pub mod config_bus;
 pub mod crossbar;
 pub mod fifo;
@@ -159,54 +158,6 @@ mod proptests {
                 }
                 SpiResponse::ReadOk { .. } => prop_assert!(false, "write frame produced a read"),
             }
-        }
-
-        /// Under arbitrary interleavings of pushes, pops and injected
-        /// Gray-pointer upsets, the CDC FIFO's synchronised occupancy
-        /// views stay within `[0, depth]`, physical occupancy never
-        /// exceeds depth, and pops yield exactly the pushed sequence
-        /// in order — never a fabricated or reordered item.
-        #[test]
-        fn cdc_fifo_contains_gray_pointer_upsets(
-            ops in proptest::collection::vec((0u8..4, 0u32..32), 0..300),
-            depth_log2 in 1u32..5,
-        ) {
-            use crate::cdc_fifo::{CdcFifo, CdcFifoConfig};
-            use aetr_sim::time::{SimDuration, SimTime};
-
-            let depth = 1usize << depth_log2;
-            let config = CdcFifoConfig {
-                depth,
-                write_period: SimDuration::from_ns(66),
-                read_period: SimDuration::from_ns(33),
-            };
-            let mut fifo: CdcFifo<u64> = CdcFifo::new(config).expect("valid config");
-            let mut pushed = Vec::new();
-            let mut popped = Vec::new();
-            let mut next = 0u64;
-            let mut t = SimTime::ZERO;
-            for (op, bit) in ops {
-                t += SimDuration::from_ns(40);
-                match op {
-                    0 => {
-                        if fifo.push(t, next).is_ok() {
-                            pushed.push(next);
-                        }
-                        next += 1;
-                    }
-                    1 => {
-                        if let Some(v) = fifo.pop(t) {
-                            popped.push(v);
-                        }
-                    }
-                    2 => fifo.upset_write_pointer(bit),
-                    _ => fifo.upset_read_pointer(bit),
-                }
-                prop_assert!(fifo.occupancy_seen_by_writer(t) <= depth as u64);
-                prop_assert!(fifo.occupancy_seen_by_reader(t) <= depth as u64);
-                prop_assert!(fifo.true_occupancy() <= depth);
-            }
-            prop_assert_eq!(&popped[..], &pushed[..popped.len()]);
         }
     }
 
