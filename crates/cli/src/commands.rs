@@ -987,9 +987,9 @@ mod tests {
         .unwrap();
         assert!(text.contains("baseline: accuracy"), "{text}");
         assert!(text.contains("fault rate"), "{text}");
-        // baseline + header + rule + 3 rows + metrics header + 19
+        // baseline + header + rule + 3 rows + metrics header + 18
         // `interface.health.*` lines (shared with `telemetry` runs).
-        assert_eq!(text.lines().count(), 26, "{text}");
+        assert_eq!(text.lines().count(), 25, "{text}");
         assert!(text.contains("interface.health.lost_acks"), "{text}");
         // Deterministic: running the identical line again reproduces it.
         let again = run_line(&[

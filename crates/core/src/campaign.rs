@@ -31,8 +31,7 @@ pub enum FaultSurface {
     /// Handshake faults only (stuck `REQ`, lost `ACK`, malformed
     /// transactions).
     Protocol,
-    /// Storage and link faults only (FIFO bit flips, I2S frame slips,
-    /// CDC pointer upsets).
+    /// Storage and link faults only (FIFO bit flips, I2S frame slips).
     Datapath,
     /// Every per-event fault class at once.
     All,
@@ -51,7 +50,6 @@ impl FaultSurface {
                 wake_failure: rate,
                 fifo_bit_flip: rate,
                 i2s_frame_slip: rate,
-                cdc_gray_upset: rate,
             },
         }
     }

@@ -92,7 +92,7 @@ impl FaultRng {
 
 /// Per-fault-class injection rates, each a probability in `[0, 1]`
 /// applied at that fault's natural opportunity (per handshake, per
-/// wake, per FIFO write, per I2S frame, per CDC pointer update).
+/// wake, per FIFO write, per I2S frame).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultRates {
     /// `REQ` stuck high after its handshake should have released it:
@@ -111,9 +111,6 @@ pub struct FaultRates {
     pub fifo_bit_flip: f64,
     /// The I2S receiver slips (loses) a transmitted frame.
     pub i2s_frame_slip: f64,
-    /// A single-bit upset on a Gray-coded CDC pointer in flight
-    /// (exercised by the `CdcFifo` hardening tests).
-    pub cdc_gray_upset: f64,
 }
 
 impl FaultRates {
@@ -122,7 +119,7 @@ impl FaultRates {
         self.as_array().iter().all(|&r| r == 0.0)
     }
 
-    fn as_array(&self) -> [f64; 7] {
+    fn as_array(&self) -> [f64; 6] {
         [
             self.stuck_req,
             self.lost_ack,
@@ -130,7 +127,6 @@ impl FaultRates {
             self.wake_failure,
             self.fifo_bit_flip,
             self.i2s_frame_slip,
-            self.cdc_gray_upset,
         ]
     }
 
@@ -141,12 +137,7 @@ impl FaultRates {
 
     /// A uniform rate on the datapath faults (campaign helper).
     pub fn datapath(rate: f64) -> FaultRates {
-        FaultRates {
-            fifo_bit_flip: rate,
-            i2s_frame_slip: rate,
-            cdc_gray_upset: rate,
-            ..FaultRates::default()
-        }
+        FaultRates { fifo_bit_flip: rate, i2s_frame_slip: rate, ..FaultRates::default() }
     }
 }
 
@@ -313,7 +304,7 @@ impl FaultPlan {
 pub struct FaultInjector {
     rates: FaultRates,
     /// One RNG stream per fault class, all derived from the plan seed.
-    streams: [FaultRng; 7],
+    streams: [FaultRng; 6],
     /// Time-sorted scheduled faults not yet fired.
     scheduled: Vec<ScheduledFault>,
     next_scheduled: usize,
@@ -334,7 +325,7 @@ impl FaultInjector {
             |class: u64| FaultRng::new(plan.seed ^ class.wrapping_mul(0xA24B_AED4_963E_E407));
         FaultInjector {
             rates: plan.rates,
-            streams: [stream(1), stream(2), stream(3), stream(4), stream(5), stream(6), stream(7)],
+            streams: [stream(1), stream(2), stream(3), stream(4), stream(5), stream(6)],
             scheduled,
             next_scheduled: 0,
         }
@@ -392,16 +383,6 @@ impl FaultInjector {
     pub fn slip_frame(&mut self) -> bool {
         self.streams[5].roll(self.rates.i2s_frame_slip)
     }
-
-    /// Bit index (0..`pointer_bits`) to upset on a crossing Gray
-    /// pointer, if this update is hit.
-    pub fn upset_gray_bit(&mut self, pointer_bits: u32) -> Option<u32> {
-        if pointer_bits > 0 && self.streams[6].roll(self.rates.cdc_gray_upset) {
-            Some(self.streams[6].below(pointer_bits))
-        } else {
-            None
-        }
-    }
 }
 
 /// Typed counters describing everything that went wrong — and was
@@ -445,8 +426,6 @@ pub struct InterfaceHealthReport {
     pub frame_slips: u64,
     /// Events carried by those slipped frames.
     pub events_lost_to_slips: u64,
-    /// Gray-pointer upsets injected on the CDC crossing.
-    pub cdc_upsets: u64,
     /// `true` once the interface clamped `N_div` and gave up sleeping.
     pub degraded: bool,
 }
@@ -483,7 +462,6 @@ impl InterfaceHealthReport {
             ("interface.health.fifo_drops_degraded", self.fifo_drops_degraded),
             ("interface.health.frame_slips", self.frame_slips),
             ("interface.health.events_lost_to_slips", self.events_lost_to_slips),
-            ("interface.health.cdc_upsets", self.cdc_upsets),
             ("interface.health.degraded", u64::from(self.degraded)),
         ]
     }
@@ -497,7 +475,6 @@ impl InterfaceHealthReport {
             + self.oscillator_stalls
             + self.fifo_bit_flips
             + self.frame_slips
-            + self.cdc_upsets
     }
 
     /// Events irrecoverably lost (dropped in the FIFO or slipped on
@@ -519,7 +496,7 @@ impl fmt::Display for InterfaceHealthReport {
              {} stuck REQs ({} spurious samples), {} malformed; \
              clock: {} wake failures ({} retries, {} forced), {} stalls{}; \
              datapath: {} FIFO flips, {} FIFO drops, {} frame slips \
-             ({} events), {} CDC upsets",
+             ({} events)",
             self.lost_acks,
             self.acks_recovered,
             self.handshakes_aborted,
@@ -536,7 +513,6 @@ impl fmt::Display for InterfaceHealthReport {
             self.fifo_drops,
             self.frame_slips,
             self.events_lost_to_slips,
-            self.cdc_upsets,
         )
     }
 }
@@ -633,11 +609,6 @@ impl HealthMonitor {
     pub fn frame_slip(&mut self, events: u64) {
         self.report.frame_slips += 1;
         self.report.events_lost_to_slips += events;
-    }
-
-    /// Records a CDC Gray-pointer upset.
-    pub fn cdc_upset(&mut self) {
-        self.report.cdc_upsets += 1;
     }
 
     /// Records entry into degraded clocking.
