@@ -23,6 +23,7 @@
 //! the one nondeterministic field of a report.
 
 use aetr::config_bus::Register;
+use aetr::fifo::{FifoConfig, OverflowPolicy};
 use aetr::interface::{
     AerToI2sInterface, InterfaceConfig, InterfaceReport, SimEngine, TelemetryConfig,
 };
@@ -50,10 +51,16 @@ fn digest(mut report: InterfaceReport) -> u64 {
 fn digest_on_both_engines(
     op: impl Fn(&AerToI2sInterface) -> InterfaceReport,
 ) -> (u64, InterfaceReport) {
+    digest_on_both_engines_with(InterfaceConfig::prototype(), op)
+}
+
+/// [`digest_on_both_engines`] for a non-prototype configuration.
+fn digest_on_both_engines_with(
+    config: InterfaceConfig,
+    op: impl Fn(&AerToI2sInterface) -> InterfaceReport,
+) -> (u64, InterfaceReport) {
     let [fast, reference] = [SimEngine::EventProportional, SimEngine::PerTickReference].map(|e| {
-        let interface = AerToI2sInterface::new(InterfaceConfig::prototype())
-            .expect("prototype config validates")
-            .with_engine(e);
+        let interface = AerToI2sInterface::new(config).expect("config validates").with_engine(e);
         op(&interface)
     });
     assert_eq!(fast, reference, "engines disagree");
@@ -125,4 +132,30 @@ fn edge_aligned_spi_writes_report_is_golden() {
     let (got, report) = digest_on_both_engines(|i| i.run_with_reconfig(&train, horizon, &writes));
     assert!(report.wake_count == 0 && !report.events.is_empty());
     assert_eq!(got, 0xc5be_10b6_fe3a_7f3a, "edge-aligned report digest {got:#018x}");
+}
+
+/// 550 kevt/s LFSR for 10 ms into a 64-event `DropOldest` FIFO with 5%
+/// of I2S frames slipped, lineage on: every buffered event can leave by
+/// transmission, displacement or a slipped frame, so the digest pins
+/// which record each loss lands on.
+#[test]
+fn displacing_fifo_lineage_report_is_golden() {
+    let horizon = SimTime::from_ms(10);
+    let train = LfsrGenerator::new(550_000.0, 101).generate(horizon);
+    let config = InterfaceConfig {
+        fifo: FifoConfig {
+            capacity_bytes: 64 * 4,
+            watermark: 32,
+            overflow: OverflowPolicy::DropOldest,
+        },
+        ..InterfaceConfig::prototype()
+    };
+    let plan = FaultPlan::nominal(505)
+        .with_rates(FaultRates { i2s_frame_slip: 0.05, ..FaultRates::default() });
+    let tel = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
+    let (got, report) =
+        digest_on_both_engines_with(config, |i| i.run_with_telemetry(&train, horizon, &plan, &tel));
+    assert!(report.fifo_stats.dropped > 0 && report.health.events_lost_to_slips > 0);
+    assert_eq!(report.telemetry.lineage.len(), report.events.len());
+    assert_eq!(got, 0x55ae_b5b0_5a8a_fce9, "displacing FIFO report digest {got:#018x}");
 }

@@ -12,9 +12,14 @@
 //! 3. the JSONL export validates line-by-line against the checked-in
 //!    schema (the same check CI's lineage-smoke job runs via the CLI).
 
-use aetr::interface::{AerToI2sInterface, InterfaceConfig, InterfaceReport, TelemetryConfig};
-use aetr_aer::generator::{PoissonGenerator, SpikeSource};
-use aetr_faults::FaultPlan;
+use aetr::aetr_format::{AetrEvent, Timestamp};
+use aetr::fifo::{FifoConfig, OverflowPolicy};
+use aetr::interface::{
+    AerToI2sInterface, InterfaceConfig, InterfaceReport, SimEngine, TelemetryConfig,
+};
+use aetr_aer::address::Address;
+use aetr_aer::generator::{LfsrGenerator, PoissonGenerator, SpikeSource};
+use aetr_faults::{FaultPlan, FaultRates};
 use aetr_sim::time::{SimDuration, SimTime};
 use aetr_telemetry::json;
 use aetr_telemetry::lineage::{relative_error_bound, DropCause, ErrorBudget};
@@ -192,4 +197,58 @@ fn jsonl_export_validates_line_by_line() {
         lines += 1;
     }
     assert_eq!(lines, report.events.len());
+}
+
+/// Overload with frame slips: a 550 kevt/s LFSR into a 64-event FIFO
+/// (watermark 32) with 5% of I2S frames slipped, under both overflow
+/// policies and both engines. Every loss path — incoming drop,
+/// displaced oldest, slipped frame — must land on the right record, and
+/// the records still marked delivered must be exactly what the I2S
+/// stream carried, in order.
+#[test]
+fn overflow_and_slip_losses_land_on_the_right_records() {
+    let horizon = SimTime::from_ms(10);
+    let train = LfsrGenerator::new(550_000.0, 101).generate(horizon);
+    let plan = FaultPlan::nominal(505)
+        .with_rates(FaultRates { i2s_frame_slip: 0.05, ..FaultRates::default() });
+    let tel = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
+    for overflow in [OverflowPolicy::DropNewest, OverflowPolicy::DropOldest] {
+        for engine in [SimEngine::EventProportional, SimEngine::PerTickReference] {
+            let config = InterfaceConfig {
+                fifo: FifoConfig { capacity_bytes: 64 * 4, watermark: 32, overflow },
+                ..InterfaceConfig::prototype()
+            };
+            let report = AerToI2sInterface::new(config)
+                .unwrap()
+                .with_engine(engine)
+                .run_with_telemetry(&train, horizon, &plan, &tel);
+            let records = report.telemetry.lineage.records();
+            assert_eq!(records.len(), report.events.len());
+            let count = |cause| records.iter().filter(|r| r.drop_cause == cause).count() as u64;
+
+            let delivered: Vec<AetrEvent> = records
+                .iter()
+                .filter(|r| r.drop_cause == DropCause::Delivered && r.i2s_start().is_some())
+                .map(|r| {
+                    AetrEvent::new(
+                        Address::new(r.address).unwrap(),
+                        Timestamp::from_ticks(r.timestamp_ticks),
+                    )
+                })
+                .collect();
+            let wire: Vec<AetrEvent> =
+                report.i2s.frames().iter().flat_map(|f| f.events()).collect();
+            assert_eq!(delivered, wire, "{overflow:?}/{engine:?}: delivered records = I2S stream");
+
+            let fifo_losses = count(DropCause::Displaced) + count(DropCause::Overflow);
+            assert!(report.fifo_stats.dropped > 0, "{overflow:?}/{engine:?}: FIFO overflows");
+            assert_eq!(fifo_losses, report.fifo_stats.dropped, "{overflow:?}/{engine:?}");
+            assert!(report.health.events_lost_to_slips > 0, "{overflow:?}/{engine:?}: slips");
+            assert_eq!(
+                count(DropCause::FrameSlip),
+                report.health.events_lost_to_slips,
+                "{overflow:?}/{engine:?}"
+            );
+        }
+    }
 }
