@@ -15,7 +15,6 @@
 //! use this for architectural effects (handshake backpressure, FIFO
 //! overflow, I2S saturation, wake latency) and validation.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -385,10 +384,12 @@ impl AerToI2sInterface {
 /// or I2S activity by the `idle_at` precondition).
 struct LineageState {
     log: aetr_telemetry::lineage::LineageLog,
-    /// Capture indices of the events currently buffered, in FIFO
-    /// order — a shadow of `AetrFifo`'s queue, so pops can be matched
-    /// back to their records.
-    fifo_mirror: VecDeque<u32>,
+    /// No record before this index is still buffered. The FIFO stores
+    /// in capture order and never reorders, so the buffered events are
+    /// exactly the records that entered it and have not left, in index
+    /// order: the first such record at or after the cursor is the FIFO
+    /// front.
+    fifo_front: u32,
     /// An oscillator wake is in flight, started at this instant.
     wake_started: Option<SimTime>,
     /// The last completed wake `(started, done)`, pending attribution
@@ -402,6 +403,26 @@ struct LineageState {
     prev_arrival: SimTime,
     /// Arrival → end-of-I2S-frame latency distribution.
     e2e_latency: HistogramId,
+}
+
+impl LineageState {
+    /// The record of the event the FIFO just popped from its front, for
+    /// a frame or as a displaced victim. Advances the cursor past it, so
+    /// each record is passed over once per run.
+    fn pop_fifo_front(&mut self) -> Option<&mut EventLineage> {
+        let records = self.log.records();
+        let from = self.fifo_front as usize;
+        let Some(k) = records[from..]
+            .iter()
+            .position(|r| r.fifo_enqueue().is_some() && r.fifo_dequeue().is_none())
+        else {
+            self.fifo_front = records.len() as u32;
+            return None;
+        };
+        let index = (from + k) as u32;
+        self.fifo_front = index + 1;
+        self.log.get_mut(index)
+    }
 }
 
 /// Telemetry state of a run: the collector plus pre-registered metric
@@ -470,7 +491,7 @@ impl TelState {
         );
         let lineage = config.lineage_enabled().then(|| LineageState {
             log: aetr_telemetry::lineage::LineageLog::new(),
-            fifo_mirror: VecDeque::new(),
+            fifo_front: 0,
             wake_started: None,
             wake_done: None,
             awaiting_ack: None,
@@ -533,8 +554,7 @@ impl TelState {
     fn record_transmission(&mut self, pair: u64, start: SimTime, done: SimTime, slipped: bool) {
         let Some(ls) = self.lineage.as_mut() else { return };
         for _ in 0..pair {
-            let Some(idx) = ls.fifo_mirror.pop_front() else { break };
-            let Some(r) = ls.log.get_mut(idx) else { continue };
+            let Some(r) = ls.pop_fifo_front() else { break };
             r.set_transmitted(start, done);
             if slipped {
                 r.drop_cause = DropCause::FrameSlip;
@@ -703,11 +723,9 @@ impl<'a> Runner<'a> {
             tel: {
                 let mut tel = TelState::new(telemetry);
                 if let Some(ls) = tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut()) {
-                    // One record per captured spike, and the mirror never
-                    // outgrows the FIFO; reserving both up front avoids
-                    // regrowing them on the hot path.
+                    // One record per captured spike; reserving up front
+                    // avoids regrowing the log on the hot path.
                     ls.log.reserve(spikes.len());
-                    ls.fifo_mirror.reserve(cfg.fifo.capacity_events());
                 }
                 tel
             },
@@ -1163,7 +1181,6 @@ impl<'a> Runner<'a> {
                 if let (Some(ls), Some(idx)) = (ts.lineage.as_mut(), lineage_idx) {
                     match outcome {
                         PushOutcome::Stored => {
-                            ls.fifo_mirror.push_back(idx);
                             if let Some(r) = ls.log.get_mut(idx) {
                                 r.set_fifo_enqueue(t);
                             }
@@ -1180,13 +1197,10 @@ impl<'a> Runner<'a> {
                         PushOutcome::DroppedOldest => {
                             // The incoming event is stored; the oldest
                             // buffered one was displaced to make room.
-                            if let Some(victim) = ls.fifo_mirror.pop_front() {
-                                if let Some(r) = ls.log.get_mut(victim) {
-                                    r.drop_cause = DropCause::Displaced;
-                                    r.set_fifo_dequeue(t);
-                                }
+                            if let Some(r) = ls.pop_fifo_front() {
+                                r.drop_cause = DropCause::Displaced;
+                                r.set_fifo_dequeue(t);
                             }
-                            ls.fifo_mirror.push_back(idx);
                             if let Some(r) = ls.log.get_mut(idx) {
                                 r.set_fifo_enqueue(t);
                             }
