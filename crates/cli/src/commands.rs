@@ -256,8 +256,9 @@ fn cmd_quantize(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    use aetr::interface::{AerToI2sInterface, InterfaceConfig};
+    use aetr::interface::{AerToI2sInterface, InterfaceConfig, TelemetryConfig};
     use aetr::latency::LatencyReport;
+    use aetr_faults::FaultPlan;
 
     let (rate, duration_ms) = rate_and_duration_args(args, None, 20)?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
@@ -267,7 +268,9 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let train = PoissonGenerator::new(rate, 64, seed).generate(horizon);
     let n = train.len();
     let interface = AerToI2sInterface::new(config)?.with_engine(engine_arg(args)?);
-    let report = interface.run(&train, horizon);
+    // Lineage records feed the latency decomposition below.
+    let tel = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
+    let report = interface.run_with_telemetry(&train, horizon, &FaultPlan::nominal(0), &tel);
     report.handshake.verify_protocol()?;
 
     let mut text = String::new();
@@ -283,7 +286,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         report.i2s.len(),
         report.i2s.event_count()
     );
-    if let Some(lat) = LatencyReport::from_report(&report, &config.i2s) {
+    if let Some(lat) = LatencyReport::from_lineage(&report.telemetry.lineage) {
         let _ = write!(text, "latency: {lat}");
     }
     Ok(text)

@@ -5,14 +5,13 @@
 //! (and the MCU behind it). This module decomposes each event's
 //! journey — acquisition (REQ to capture), buffering (capture to frame
 //! start), transmission (frame) — so that the batching knob's latency
-//! cost is measurable, not anecdotal.
+//! cost is measurable, not anecdotal. It is a view over the per-event
+//! lineage records (DESIGN.md §14), which already hold every stage.
 
 use serde::{Deserialize, Serialize};
 
-use aetr_sim::time::{SimDuration, SimTime};
-
-use crate::i2s::I2sConfig;
-use crate::interface::InterfaceReport;
+use aetr_sim::time::SimDuration;
+use aetr_telemetry::lineage::LineageLog;
 
 /// Latency summary of one stage, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,37 +59,29 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
-    /// Computes the decomposition from a run report. Returns `None`
-    /// for runs with no transmitted events.
+    /// The decomposition over the delivered events of a run's lineage
+    /// records (collect them with
+    /// [`TelemetryConfig::with_lineage`](aetr_telemetry::TelemetryConfig::with_lineage)).
+    /// Returns `None` when no event reached the wire.
     ///
-    /// Events are matched to frames in order (the FIFO and the I2S
-    /// link are both FIFO, so the n-th captured event rides the
-    /// `n/2`-th frame slot).
-    pub fn from_report(report: &InterfaceReport, i2s: &I2sConfig) -> Option<LatencyReport> {
-        // Flatten frame slots to (event_index -> frame start/end).
-        let frame_duration = i2s.frame_duration();
-        let mut slot_times: Vec<(SimTime, SimTime)> = Vec::new();
-        for f in report.i2s.frames() {
-            let end = f.start + frame_duration;
-            for _ in f.events() {
-                slot_times.push((f.start, end));
-            }
-        }
-        if slot_times.is_empty() {
-            return None;
-        }
-
-        let n = slot_times.len().min(report.events.len());
-        let mut acq = Vec::with_capacity(n);
-        let mut buf = Vec::with_capacity(n);
-        let mut e2e = Vec::with_capacity(n);
-        for (ev, &(f_start, f_end)) in report.events.iter().zip(&slot_times) {
-            acq.push((ev.detection - ev.request).as_secs_f64());
-            buf.push(f_start.saturating_duration_since(ev.detection).as_secs_f64());
-            e2e.push(f_end.saturating_duration_since(ev.request).as_secs_f64());
+    /// Every stage is read from the event's own record, so events lost
+    /// to an overflow, a displacement or a slipped frame leave no gap
+    /// that would pair later events with earlier frames.
+    pub fn from_lineage(log: &LineageLog) -> Option<LatencyReport> {
+        let mut acq = Vec::with_capacity(log.len());
+        let mut buf = Vec::with_capacity(log.len());
+        let mut e2e = Vec::with_capacity(log.len());
+        for r in log.records() {
+            let (Some(buffered), Some(end_to_end)) = (r.fifo_residency(), r.end_to_end_latency())
+            else {
+                continue;
+            };
+            acq.push((r.detection - r.arrival).as_secs_f64());
+            buf.push(buffered.as_secs_f64());
+            e2e.push(end_to_end.as_secs_f64());
         }
         Some(LatencyReport {
-            events: n,
+            events: e2e.len(),
             acquisition: StageLatency::of(acq)?,
             buffering: StageLatency::of(buf)?,
             end_to_end: StageLatency::of(e2e)?,
@@ -124,23 +115,30 @@ fn fmt_s(secs: f64) -> String {
 mod tests {
     use super::*;
     use crate::fifo::FifoConfig;
-    use crate::interface::{AerToI2sInterface, InterfaceConfig};
-    use aetr_aer::generator::{RegularGenerator, SpikeSource};
+    use crate::interface::{AerToI2sInterface, InterfaceConfig, TelemetryConfig};
+    use aetr_aer::generator::{LfsrGenerator, RegularGenerator, SpikeSource};
+    use aetr_aer::spike::SpikeTrain;
+    use aetr_faults::FaultPlan;
+    use aetr_sim::time::SimTime;
 
-    fn run_with_watermark(watermark: usize) -> (InterfaceReport, I2sConfig) {
+    fn lineage_of(config: InterfaceConfig, train: &SpikeTrain, horizon: SimTime) -> LineageLog {
+        let tel = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
+        let interface = AerToI2sInterface::new(config).unwrap();
+        interface.run_with_telemetry(train, horizon, &FaultPlan::nominal(0), &tel).telemetry.lineage
+    }
+
+    fn run_with_watermark(watermark: usize) -> LineageLog {
         let config = InterfaceConfig {
             fifo: FifoConfig { watermark, ..FifoConfig::prototype() },
             ..InterfaceConfig::prototype()
         };
-        let interface = AerToI2sInterface::new(config).unwrap();
         let train = RegularGenerator::from_rate(100_000.0, 8).generate(SimTime::from_ms(5));
-        (interface.run(&train, SimTime::from_ms(5)), config.i2s)
+        lineage_of(config, &train, SimTime::from_ms(5))
     }
 
     #[test]
     fn acquisition_latency_is_grid_scale() {
-        let (report, i2s) = run_with_watermark(1);
-        let lat = LatencyReport::from_report(&report, &i2s).unwrap();
+        let lat = LatencyReport::from_lineage(&run_with_watermark(1)).unwrap();
         // 10 µs spacing sits in segment 1 (period ≤ 2·T_min) plus the
         // 2-FF synchroniser: a few hundred ns.
         assert!(lat.acquisition.mean_secs < 1e-6, "mean {}", lat.acquisition.mean_secs);
@@ -149,10 +147,8 @@ mod tests {
 
     #[test]
     fn deeper_watermark_costs_buffering_latency() {
-        let (r1, i2s) = run_with_watermark(1);
-        let (r256, _) = run_with_watermark(256);
-        let l1 = LatencyReport::from_report(&r1, &i2s).unwrap();
-        let l256 = LatencyReport::from_report(&r256, &i2s).unwrap();
+        let l1 = LatencyReport::from_lineage(&run_with_watermark(1)).unwrap();
+        let l256 = LatencyReport::from_lineage(&run_with_watermark(256)).unwrap();
         assert!(
             l256.buffering.mean_secs > 10.0 * l1.buffering.mean_secs,
             "watermark 1: {}, watermark 256: {}",
@@ -163,18 +159,35 @@ mod tests {
         assert!(l256.end_to_end.mean_secs > l256.buffering.mean_secs * 0.9);
     }
 
+    /// Above the I2S limit the FIFO overflows and drops events. A
+    /// delivered event enters a FIFO holding at most `capacity` events,
+    /// itself included, while at most one frame is on the wire: it is
+    /// out after that frame plus `⌈capacity/2⌉` frames of two events,
+    /// on top of its own acquisition. Pairing the n-th captured event
+    /// with the n-th I2S slot instead charges the survivors for the
+    /// dropped events' time and reads 8.42 ms here.
+    #[test]
+    fn overflow_drops_do_not_inflate_end_to_end_latency() {
+        let config = InterfaceConfig::prototype();
+        let horizon = SimTime::from_ms(40);
+        let train = LfsrGenerator::new(550_000.0, 101).generate(horizon);
+        let log = lineage_of(config, &train, horizon);
+        let lat = LatencyReport::from_lineage(&log).unwrap();
+        assert!(lat.events < log.len(), "the FIFO overflows");
+        let frames = config.fifo.capacity_events().div_ceil(2) as u64 + 1;
+        let bound = (config.i2s.frame_duration() * frames).as_secs_f64() + lat.acquisition.max_secs;
+        assert!(lat.end_to_end.max_secs <= bound, "{} > {bound}", lat.end_to_end.max_secs);
+    }
+
     #[test]
     fn empty_run_yields_none() {
-        let config = InterfaceConfig::prototype();
-        let interface = AerToI2sInterface::new(config).unwrap();
-        let report = interface.run(&aetr_aer::spike::SpikeTrain::new(), SimTime::from_ms(1));
-        assert!(LatencyReport::from_report(&report, &config.i2s).is_none());
+        let log = lineage_of(InterfaceConfig::prototype(), &SpikeTrain::new(), SimTime::from_ms(1));
+        assert!(LatencyReport::from_lineage(&log).is_none());
     }
 
     #[test]
     fn display_renders_all_stages() {
-        let (report, i2s) = run_with_watermark(16);
-        let text = LatencyReport::from_report(&report, &i2s).unwrap().to_string();
+        let text = LatencyReport::from_lineage(&run_with_watermark(16)).unwrap().to_string();
         assert!(text.contains("acquisition"));
         assert!(text.contains("buffering"));
         assert!(text.contains("end-to-end"));
