@@ -197,18 +197,13 @@ impl AetrFifo {
         self.degraded = degraded;
     }
 
-    /// Whether drops are currently attributed to degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// The configuration.
     pub fn config(&self) -> &FifoConfig {
         &self.config
     }
 
     /// Current occupancy in events — the canonical "depth" of the
-    /// buffer (see the [module docs](self) for the shared vocabulary).
+    /// buffer (see the [module docs](self) for the vocabulary).
     pub fn len(&self) -> usize {
         self.queue.len()
     }
@@ -262,14 +257,6 @@ impl AetrFifo {
             self.stats.popped += 1;
         }
         ev
-    }
-
-    /// Pops up to `n` events as a batch.
-    pub fn pop_batch(&mut self, n: usize) -> Vec<AetrEvent> {
-        let take = n.min(self.queue.len());
-        let batch: Vec<AetrEvent> = self.queue.drain(..take).collect();
-        self.stats.popped += batch.len() as u64;
-        batch
     }
 
     /// Accumulated statistics.
@@ -363,7 +350,7 @@ mod tests {
         fifo.push(ev(0));
         fifo.push(ev(1)); // crossing 1
         fifo.push(ev(2));
-        fifo.pop_batch(3);
+        while fifo.pop().is_some() {}
         fifo.push(ev(3));
         fifo.push(ev(4)); // crossing 2
         assert_eq!(fifo.stats().watermark_crossings, 2);
@@ -376,11 +363,11 @@ mod tests {
         for i in 0..100 {
             fifo.push(ev(i));
         }
-        let batch = fifo.pop_batch(64);
+        let batch: Vec<AetrEvent> = (0..64).map_while(|_| fifo.pop()).collect();
         assert_eq!(batch.len(), 64);
         assert_eq!(batch[0], ev(0));
         assert_eq!(fifo.len(), 36);
-        let rest = fifo.pop_batch(1_000);
+        let rest: Vec<AetrEvent> = (0..1_000).map_while(|_| fifo.pop()).collect();
         assert_eq!(rest.len(), 36);
         assert_eq!(fifo.stats().popped, 100);
         assert_eq!(fifo.stats().high_watermark, 100);
@@ -406,7 +393,6 @@ mod tests {
         }
         fifo.push(ev(4)); // normal overflow
         fifo.set_degraded(true);
-        assert!(fifo.is_degraded());
         fifo.push(ev(5));
         fifo.push(ev(6)); // two degraded-mode drops
         let stats = fifo.stats();

@@ -104,40 +104,64 @@ mod proptests {
         }
 
         /// The FIFO behaves exactly like a bounded VecDeque reference
-        /// model under arbitrary push/pop interleavings (DropNewest).
+        /// model under arbitrary push/pop interleavings, either overflow
+        /// policy and degraded-mode toggles: same outcomes, same pops,
+        /// and every loss counted under the mode it happened in.
         #[test]
         fn fifo_matches_reference_model(
-            ops in proptest::collection::vec(proptest::bool::ANY, 0..400),
+            ops in proptest::collection::vec(0u8..8, 0..400),
             capacity_words in 1usize..32,
+            drop_oldest in proptest::bool::ANY,
         ) {
+            let overflow =
+                if drop_oldest { OverflowPolicy::DropOldest } else { OverflowPolicy::DropNewest };
             let config = FifoConfig {
                 capacity_bytes: capacity_words * 4,
                 watermark: capacity_words,
-                overflow: OverflowPolicy::DropNewest,
+                overflow,
             };
             let mut fifo = AetrFifo::new(config);
             let mut reference: std::collections::VecDeque<AetrEvent> =
                 std::collections::VecDeque::new();
+            let (mut degraded, mut lost_normal, mut lost_degraded) = (false, 0u64, 0u64);
             let mut counter = 0u64;
-            for push in ops {
-                if push {
-                    let ev = AetrEvent::new(
-                        Address::from_raw_masked(counter as u16),
-                        Timestamp::from_ticks(counter),
-                    );
-                    counter += 1;
-                    let outcome = fifo.push(ev);
-                    if reference.len() < capacity_words {
-                        reference.push_back(ev);
-                        prop_assert_eq!(outcome, PushOutcome::Stored);
-                    } else {
-                        prop_assert_eq!(outcome, PushOutcome::DroppedNewest);
+            for op in ops {
+                match op {
+                    // Pushes outnumber pops so the buffer fills and
+                    // overflows.
+                    0..=4 => {
+                        let ev = AetrEvent::new(
+                            Address::from_raw_masked(counter as u16),
+                            Timestamp::from_ticks(counter),
+                        );
+                        counter += 1;
+                        let outcome = fifo.push(ev);
+                        if reference.len() < capacity_words {
+                            reference.push_back(ev);
+                            prop_assert_eq!(outcome, PushOutcome::Stored);
+                        } else {
+                            if drop_oldest {
+                                reference.pop_front();
+                                reference.push_back(ev);
+                                prop_assert_eq!(outcome, PushOutcome::DroppedOldest);
+                            } else {
+                                prop_assert_eq!(outcome, PushOutcome::DroppedNewest);
+                            }
+                            if degraded { lost_degraded += 1 } else { lost_normal += 1 }
+                        }
                     }
-                } else {
-                    prop_assert_eq!(fifo.pop(), reference.pop_front());
+                    5 | 6 => prop_assert_eq!(fifo.pop(), reference.pop_front()),
+                    _ => {
+                        degraded = !degraded;
+                        fifo.set_degraded(degraded);
+                    }
                 }
                 prop_assert_eq!(fifo.len(), reference.len());
             }
+            let stats = fifo.stats();
+            prop_assert_eq!(stats.dropped_overflow, lost_normal);
+            prop_assert_eq!(stats.dropped_degraded, lost_degraded);
+            prop_assert_eq!(stats.dropped, lost_normal + lost_degraded);
         }
 
         /// SPI write frames for any valid (register, value) pair either
