@@ -15,8 +15,10 @@
 //! falls more than `--tolerance` (default 20%) below any committed
 //! point, and also when per-event lineage recording costs more than
 //! 10% wall-clock over plain telemetry at the densest point. CI runs
-//! `aetr-bench --quick --check BENCH_interface.json` as its
-//! bench-smoke gate.
+//! `aetr-bench --quick --out bench_smoke.json --check
+//! BENCH_interface.json` as its bench-smoke gate. The baseline is read
+//! before the report is written, so `--check` may also name the output
+//! file.
 //!
 //! ```text
 //! aetr-bench [--quick] [--out <file.json>] [--check <baseline.json>]
@@ -421,6 +423,23 @@ fn check_against(
     }
 }
 
+/// Writes `doc` to `--out`, then gates `points` against the `--check`
+/// baseline, if any. The baseline is read before the write: `--check`
+/// may name the output file itself (the default `--out`), and reading
+/// it afterwards would compare the fresh report with itself.
+fn write_and_check(
+    args: &BenchArgs,
+    doc: &Json,
+    points: &[PointResult],
+) -> Result<Option<Vec<String>>, String> {
+    let baseline = match &args.check {
+        Some(path) => Some(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?),
+        None => None,
+    };
+    std::fs::write(&args.out, format!("{doc}\n")).map_err(|e| format!("{}: {e}", args.out))?;
+    baseline.map(|text| check_against(&text, points, args.tolerance)).transpose()
+}
+
 fn run(args: &BenchArgs) -> Result<String, String> {
     let iterations = if args.quick { 3 } else { 9 };
     let mut summary = String::new();
@@ -458,12 +477,10 @@ fn run(args: &BenchArgs) -> Result<String, String> {
     ));
 
     let doc = report_json(args, &points, campaign, &lineage);
-    std::fs::write(&args.out, format!("{doc}\n")).map_err(|e| format!("{}: {e}", args.out))?;
+    let checked = write_and_check(args, &doc, &points)?;
     summary.push_str(&format!("wrote {}\n", args.out));
 
-    if let Some(path) = &args.check {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let lines = check_against(&text, &points, args.tolerance)?;
+    if let (Some(path), Some(lines)) = (&args.check, checked) {
         summary.push_str(&format!("check against {path}:\n{}\n", lines.join("\n")));
         // Absolute gate, independent of the committed baseline: lineage
         // recording must stay within 10% of plain telemetry wall-clock.
@@ -601,6 +618,50 @@ mod tests {
         let err = check_against(&committed(1_100_000.0), &fresh, 0.2).unwrap_err();
         assert!(err.contains("REGRESSED"), "{err}");
         assert!(check_against("not json", &fresh, 0.2).is_err());
+    }
+
+    /// `--check P` with `--out P` (or no `--out`, when P is the default)
+    /// must gate against P's previous contents, not the fresh report.
+    #[test]
+    fn check_reads_the_baseline_before_overwriting_it() {
+        let path = std::env::temp_dir()
+            .join(format!("aetr-bench-self-check-{}.json", std::process::id()))
+            .to_str()
+            .expect("UTF-8 temp path")
+            .to_owned();
+        std::fs::write(
+            &path,
+            "{\"points\": [{\"rate_hz\": 400000, \"sim_events_per_sec\": 1100000}]}",
+        )
+        .expect("temp dir is writable");
+        let args = BenchArgs {
+            out: path.clone(),
+            check: Some(path.clone()),
+            ..parse_args(std::iter::empty()).unwrap()
+        };
+        let fresh = [PointResult {
+            rate_hz: 400_000.0,
+            horizon_ms: 10,
+            events: 4_000,
+            wall_ms_median: 5.0,
+            sim_events_per_sec: 800_000.0,
+            queue_ops: 150_000,
+            queue_ops_per_sec: 3.0e7,
+        }];
+        let lineage = LineageOverhead {
+            rate_hz: 400_000.0,
+            horizon_ms: 10,
+            wall_ms_telemetry: 8.0,
+            wall_ms_lineage: 8.4,
+            overhead_fraction: 0.05,
+        };
+        let doc = report_json(&args, &fresh, (3, 12.5), &lineage);
+        let verdict = write_and_check(&args, &doc, &fresh);
+        let written = std::fs::read_to_string(&path).expect("report written");
+        std::fs::remove_file(&path).expect("temp file removable");
+        let err = verdict.expect_err("a 27% drop against the old baseline regresses");
+        assert!(err.contains("REGRESSED"), "{err}");
+        assert_eq!(written, format!("{doc}\n"), "the fresh report replaces the baseline");
     }
 
     #[test]
