@@ -11,11 +11,11 @@
 //! its register, so a later change must either keep every bit or
 //! update a literal here on purpose.
 //!
-//! One such update so far: removing the always-zero `cdc_upsets` health
-//! counter. Each literal is the captured report's `Debug` text with
-//! `cdc_upsets: 0, ` deleted and, in the instrumented run, the
-//! `"interface.health.cdc_upsets"` counter name and its `0` value
-//! deleted from the registry — nothing else moved.
+//! One such update so far: the health report lost an always-zero
+//! counter, the pointer upsets of a deleted clock-domain-crossing FIFO.
+//! Each literal is the earlier report's `Debug` text with that field
+//! deleted and, in the instrumented run, its registry counter name and
+//! `0` value deleted — nothing else moved.
 //!
 //! The digest is FNV-1a 64 over the report's `Debug` text, written out
 //! here because `std`'s `DefaultHasher` may change between Rust
