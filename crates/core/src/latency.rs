@@ -64,9 +64,8 @@ impl LatencyReport {
     /// [`TelemetryConfig::with_lineage`](aetr_telemetry::TelemetryConfig::with_lineage)).
     /// Returns `None` when no event reached the wire.
     ///
-    /// Every stage is read from the event's own record, so events lost
-    /// to an overflow, a displacement or a slipped frame leave no gap
-    /// that would pair later events with earlier frames.
+    /// Every stage is read from the event's own record, so losses on
+    /// the path do not shift any other event's stages.
     pub fn from_lineage(log: &LineageLog) -> Option<LatencyReport> {
         let mut acq = Vec::with_capacity(log.len());
         let mut buf = Vec::with_capacity(log.len());
@@ -163,9 +162,7 @@ mod tests {
     /// delivered event enters a FIFO holding at most `capacity` events,
     /// itself included, while at most one frame is on the wire: it is
     /// out after that frame plus `⌈capacity/2⌉` frames of two events,
-    /// on top of its own acquisition. Pairing the n-th captured event
-    /// with the n-th I2S slot instead charges the survivors for the
-    /// dropped events' time and reads 8.42 ms here.
+    /// on top of its own acquisition.
     #[test]
     fn overflow_drops_do_not_inflate_end_to_end_latency() {
         let config = InterfaceConfig::prototype();

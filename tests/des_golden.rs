@@ -49,13 +49,6 @@ fn digest(mut report: InterfaceReport) -> u64 {
 /// Runs `op` on both engines, asserts they agree, and returns the
 /// shared digest with the fast-forward engine's report.
 fn digest_on_both_engines(
-    op: impl Fn(&AerToI2sInterface) -> InterfaceReport,
-) -> (u64, InterfaceReport) {
-    digest_on_both_engines_with(InterfaceConfig::prototype(), op)
-}
-
-/// [`digest_on_both_engines`] for a non-prototype configuration.
-fn digest_on_both_engines_with(
     config: InterfaceConfig,
     op: impl Fn(&AerToI2sInterface) -> InterfaceReport,
 ) -> (u64, InterfaceReport) {
@@ -80,7 +73,8 @@ fn fnv1a64_matches_reference_vectors() {
 fn dense_lfsr_overflow_report_is_golden() {
     let horizon = SimTime::from_ms(40);
     let train = LfsrGenerator::new(550_000.0, 101).generate(horizon);
-    let (got, report) = digest_on_both_engines(|i| i.run(&train, horizon));
+    let (got, report) =
+        digest_on_both_engines(InterfaceConfig::prototype(), |i| i.run(&train, horizon));
     assert!(report.fifo_stats.dropped > 0 && report.wake_count == 0);
     assert_eq!(got, 0xd7d5_9eb1_ec62_9961, "dense LFSR report digest {got:#018x}");
 }
@@ -91,7 +85,8 @@ fn dense_lfsr_overflow_report_is_golden() {
 fn sparse_poisson_wake_report_is_golden() {
     let horizon = SimTime::from_ms(1_000);
     let train = PoissonGenerator::new(200.0, 64, 202).generate(horizon);
-    let (got, report) = digest_on_both_engines(|i| i.run(&train, horizon));
+    let (got, report) =
+        digest_on_both_engines(InterfaceConfig::prototype(), |i| i.run(&train, horizon));
     assert!(report.wake_count * 10 >= report.events.len() as u64 * 9 && report.wake_count > 100);
     assert_eq!(got, 0x5b95_bcfc_1e4c_fdc4, "sparse Poisson report digest {got:#018x}");
 }
@@ -107,8 +102,9 @@ fn faulted_instrumented_reconfigured_report_is_golden() {
         .with_watchdog(WatchdogConfig::default());
     let tel = TelemetryConfig::with_cadence(SimDuration::from_us(50)).with_lineage();
     let writes = [(SimTime::from_ms(4) + SimDuration::from_ns(123), Register::NDiv, 5)];
-    let (got, report) =
-        digest_on_both_engines(|i| i.run_with(&train, horizon, &plan, &tel, &writes));
+    let (got, report) = digest_on_both_engines(InterfaceConfig::prototype(), |i| {
+        i.run_with(&train, horizon, &plan, &tel, &writes)
+    });
     assert!(report.health.faults_injected() > 0);
     assert_eq!(report.telemetry.lineage.len(), report.events.len());
     assert_eq!(got, 0xca4a_0d29_cdee_ec6f, "faulted instrumented report digest {got:#018x}");
@@ -129,7 +125,9 @@ fn edge_aligned_spi_writes_report_is_golden() {
             (SimTime::ZERO + t_min * u64::from(37 + 53 * j), Register::ThetaDiv, theta)
         })
         .collect();
-    let (got, report) = digest_on_both_engines(|i| i.run_with_reconfig(&train, horizon, &writes));
+    let (got, report) = digest_on_both_engines(InterfaceConfig::prototype(), |i| {
+        i.run_with_reconfig(&train, horizon, &writes)
+    });
     assert!(report.wake_count == 0 && !report.events.is_empty());
     assert_eq!(got, 0xc5be_10b6_fe3a_7f3a, "edge-aligned report digest {got:#018x}");
 }
@@ -154,7 +152,7 @@ fn displacing_fifo_lineage_report_is_golden() {
         .with_rates(FaultRates { i2s_frame_slip: 0.05, ..FaultRates::default() });
     let tel = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
     let (got, report) =
-        digest_on_both_engines_with(config, |i| i.run_with_telemetry(&train, horizon, &plan, &tel));
+        digest_on_both_engines(config, |i| i.run_with_telemetry(&train, horizon, &plan, &tel));
     assert!(report.fifo_stats.dropped > 0 && report.health.events_lost_to_slips > 0);
     assert_eq!(report.telemetry.lineage.len(), report.events.len());
     assert_eq!(got, 0x55ae_b5b0_5a8a_fce9, "displacing FIFO report digest {got:#018x}");

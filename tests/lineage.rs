@@ -228,7 +228,7 @@ fn overflow_and_slip_losses_land_on_the_right_records() {
 
             let delivered: Vec<AetrEvent> = records
                 .iter()
-                .filter(|r| r.drop_cause == DropCause::Delivered && r.i2s_start().is_some())
+                .filter(|r| r.drop_cause == DropCause::Delivered)
                 .map(|r| {
                     AetrEvent::new(
                         Address::new(r.address).unwrap(),
